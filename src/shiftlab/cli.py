@@ -13,6 +13,7 @@ The environment variable SHIFTLAB_SEED overrides any configured seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -39,6 +40,7 @@ DEFAULT_N = {
 }
 DEFAULT_STABILITY_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_SEMICONT_EPS = tuple(2.0 ** -n for n in range(1, 15))
+FINITE_KEYS = ("lam", "p_roots", "zeros", "eps", "rank_tol", "invariance_tol", "min_sep", "trend_tol")
 
 
 class ConfigError(ValueError):
@@ -105,6 +107,13 @@ class RunConfig:
                 self.seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"SHIFTLAB_SEED must be an integer, got {env_seed!r}") from exc
+        if self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        for key in FINITE_KEYS:
+            value = getattr(self, key)
+            values = value if isinstance(value, (tuple, list)) else [value]
+            if not all(v is None or cmath.isfinite(v) for v in values):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         return self
 
 

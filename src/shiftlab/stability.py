@@ -216,6 +216,8 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     where no step reaches the assertion threshold, or where the transported
     basis degenerates, are counted as skipped.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     s_min = float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
     if s_min < min_sigma:
         raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {min_sigma}")
@@ -253,7 +255,7 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
             skipped += 1
 
     violations = sum(a["n_violations"] for a in agg)
-    skip_fraction = skipped / n_trials if n_trials else 0.0
+    skip_fraction = skipped / n_trials
     verdict = VERDICT_PASS if violations == 0 and skip_fraction <= MAX_SKIP_FRACTION else VERDICT_FAIL
     return ExperimentReport(
         experiment="index_semicontinuity",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,17 +49,26 @@ class CyclicityError(ValueError):
         self.wanted = wanted
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Columns of `matrix` span a subspace of C^ambient_dim."""
+    """Columns of `matrix` span a subspace of C^ambient_dim.
+
+    The basis owns a read-only complex128 copy of the matrix it is given,
+    and its fields cannot be reassigned. Results derived from the matrix
+    (its orthonormalization, and the orthogonal complement of an orthonormal
+    basis) are cached on the instance and can therefore never go stale.
+    """
 
     matrix: np.ndarray
     orthonormal: bool = False
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-        if self.matrix.ndim != 2:
+        matrix = np.array(self.matrix, dtype=np.complex128)
+        if matrix.ndim != 2:
             raise ValueError("basis matrix must be 2-dimensional (ambient x count)")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_vectors(cls, vectors, orthonormal: bool = False) -> "SubspaceBasis":
@@ -168,16 +177,24 @@ def orthonormalize(basis: SubspaceBasis, dependence_tol: float = GS_DEPENDENCE_T
 
     Faster than Gram-Schmidt for the wide bases used by index sweeps;
     rejects rank-deficient input like gram_schmidt_projection does.
+    An orthonormal basis is returned as itself. Otherwise the result is
+    cached on `basis` per dependence_tol, so repeated calls with the same
+    basis cost one QR in total.
     """
-    if basis.orthonormal or basis.dim == 0:
-        return SubspaceBasis(basis.matrix, orthonormal=True)
+    if basis.orthonormal:
+        return basis
+    key = ("orthonormalize", dependence_tol)
+    cached = basis._cache.get(key)
+    if cached is not None:
+        return cached
     Q, R = np.linalg.qr(basis.matrix)
     diag = np.abs(np.diag(R))
     norms = np.linalg.norm(basis.matrix, axis=0)
     for j in range(basis.dim):
         if diag[j] < dependence_tol * max(norms[j], 1e-300):
             raise RankDeficiencyError(j, float(diag[j] / max(norms[j], 1e-300)))
-    return SubspaceBasis(Q, orthonormal=True)
+    result = basis._cache[key] = SubspaceBasis(Q, orthonormal=True)
+    return result
 
 
 def principal_angles(a: SubspaceBasis, b: SubspaceBasis) -> np.ndarray:
@@ -261,10 +278,22 @@ def is_invariant(T: OperatorWindow, P: Projection | SubspaceBasis, tol: float = 
         out = codomain.range_basis() if isinstance(codomain, Projection) else orthonormalize(codomain)
     if out.ambient_dim != T.rows:
         raise ValueError(f"codomain subspace lives in C^{out.ambient_dim}, window maps to C^{T.rows}")
-    img = T.matrix @ Q
-    resid = img - out.matrix @ (out.matrix.conj().T @ img)
-    defect = float(np.linalg.norm(resid, 2))
+    defect = _invariance_defect(T.matrix @ Q, out)
     return InvarianceCheck(invariant=defect <= tol, defect=defect, tol=tol)
+
+
+def _invariance_defect(img: np.ndarray, out: SubspaceBasis) -> float:
+    """Operator norm of (1 - Q Q*) img, for the orthonormal basis Q of `out`.
+
+    Computed as the norm of W* img, where [Q W] is unitary (Golub & Van
+    Loan, Matrix Computations, 2.5), so the SVD runs on codim(out) rows.
+    W is the tail of a complete QR of Q, computed once and cached on `out`.
+    """
+    W = out._cache.get("complement")
+    if W is None:
+        W = out._cache["complement"] = np.linalg.qr(out.matrix, mode="complete")[0][:, out.dim:]
+    X = W.conj().T @ img
+    return float(np.linalg.norm(X, 2)) if X.size else 0.0
 
 
 # -- relative index --------------------------------------------------------------
@@ -291,19 +320,22 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
 
     Checks T M_in lies inside M_out within invariance_tol (default: tol),
     then counts dim(M_out) - rank(T B_in) with the relative singular value
-    threshold tol * sigma_max.
+    threshold tol * sigma_max. The invariance defect is the norm of
+    W* T Q_in for the orthogonal complement W of M_out, a codim x dim_in
+    matrix. The orthonormal bases and the complement are cached on M_in
+    and M_out, so calls that reuse the same basis objects (as perturbation
+    sweeps do) pay for their QRs once.
     """
     if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
         raise ValueError("subspace dimensions do not match the window")
     inv_tol = tol if invariance_tol is None else invariance_tol
     Q_in = orthonormalize(M_in).matrix
-    Q_out = orthonormalize(M_out).matrix
+    out = orthonormalize(M_out)
     img = T.matrix @ Q_in
-    resid = img - Q_out @ (Q_out.conj().T @ img)
-    defect = float(np.linalg.norm(resid, 2)) if img.size else 0.0
+    defect = _invariance_defect(img, out)
     if defect > inv_tol:
         raise InvarianceError(defect, inv_tol)
-    dim_out = Q_out.shape[1]
+    dim_out = out.dim
     if Q_in.shape[1] == 0:
         return IndexResult(index=dim_out, rank=0, dim_out=dim_out, defect=defect, gap=math.inf)
     s = np.linalg.svd(img, compute_uv=False)

@@ -154,6 +154,29 @@ class TestCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_semicont_without_trials_exits_one(self, tmp_path, monkeypatch, capsys, trials):
+        code = run_cli(["semicont", "--N", "32", "--trials", trials, "--output", "t0"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "t0.report.json").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["chain", "--lambda", "nan"], "lam"),
+        (["stability", "--p-roots", "nan,0.3"], "p_roots"),
+        (["stability", "--eps", "1e-1,inf"], "eps"),
+        (["semicont", "--zeros", "0.2,nan"], "zeros"),
+        (["semicont", "--invariance-tol", "nan"], "invariance_tol"),
+        (["beurling-index", "--min-sep", "nan"], "min_sep"),
+        (["beurling-check", "--trend-tol", "inf"], "trend_tol"),
+        (["radii", "--rank-tol", "nan"], "rank_tol"),
+    ])
+    def test_non_finite_input_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
+        code = run_cli(argv + ["--output", "nf"], tmp_path, monkeypatch)
+        assert code == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "nf.report.json").exists()
+
     def test_run_callable_directly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(RunConfig(command="radii", weight="unweighted", N=128, output="direct"))

@@ -202,6 +202,13 @@ class TestSemicontinuity:
         with pytest.raises(ValueError):
             semicontinuity_run(A, basis, basis, plan, 2)
 
+    def test_zero_trials_rejected(self):
+        T = shift_window(UNW, 16)
+        basis_in, basis_out = vanishing_subspace([0.2], 16), vanishing_subspace([0.2], 17)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)
+        with pytest.raises(ValueError, match="n_trials"):
+            semicontinuity_run(T, basis_in, basis_out, plan, 0)
+
     def test_determinism(self):
         N = 48
         T = shift_window(UNW, N)

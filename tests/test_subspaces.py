@@ -13,6 +13,7 @@ from shiftlab.operators import (
 )
 from shiftlab.report import fit_loglog_slope
 from shiftlab.seeding import TAG_BASIS, complex_gaussian, stream
+from shiftlab.stability import PerturbationPlan, perturb
 from shiftlab.subspaces import (
     InvarianceError,
     RankDeficiencyError,
@@ -185,6 +186,71 @@ class TestRelIndex:
         for col in basis.matrix.T:
             for z, pw in powers.items():
                 assert abs(np.dot(col, pw)) < 1e-12
+
+
+def residual_defect(T, M_in, M_out):
+    """Reference invariance defect: norm of the residual after projecting onto M_out."""
+    Q_in = orthonormalize(M_in).matrix
+    Q_out = orthonormalize(M_out).matrix
+    img = T.matrix @ Q_in
+    resid = img - Q_out @ (Q_out.conj().T @ img)
+    return float(np.linalg.norm(resid, 2)) if img.size else 0.0
+
+
+class TestBasisCache:
+    def test_matrix_is_an_owned_read_only_copy(self):
+        source = np.eye(4, 2, dtype=complex)
+        basis = SubspaceBasis(source)
+        assert not basis.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 2.0
+        source[0, 0] = 2.0
+        assert basis.matrix[0, 0] == 1.0
+
+    def test_orthonormal_basis_returned_as_itself(self):
+        basis = SubspaceBasis(np.eye(5, 3, dtype=complex), orthonormal=True)
+        assert orthonormalize(basis) is basis
+
+    def test_orthonormalization_cached_per_basis(self):
+        basis = vanishing_subspace([0.3, -0.4], 16)
+        first = orthonormalize(basis)
+        assert orthonormalize(basis) is first
+        assert first.orthonormal and orthonormalize(first) is first
+
+    def test_reused_and_fresh_bases_give_identical_results(self):
+        N, zeros = 64, [0.3, -0.4]
+        T = shift_window(UNW, N)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=4)
+        M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
+        for trial in range(4):
+            S = perturb(T, plan, 1e-3, stream_tags=(trial,)).window
+            reused = rel_index(S, M_in, M_out, invariance_tol=1e-2)
+            fresh = rel_index(S, vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1),
+                              invariance_tol=1e-2)
+            assert reused == fresh
+            assert reused.defect > 0.0
+
+
+class TestComplementDefect:
+    @pytest.mark.parametrize("rows, cols, dim_in, dim_out", [
+        (12, 10, 4, 7), (20, 20, 9, 3), (9, 15, 6, 8), (30, 28, 28, 29),
+        (10, 8, 3, 10),  # M_out is the whole codomain: defect 0
+        (10, 8, 3, 0),   # empty M_out: defect is the norm of the image
+        (10, 8, 0, 5),   # empty M_in: nothing to map
+    ])
+    def test_matches_residual_formula(self, rows, cols, dim_in, dim_out):
+        rng = stream(33, TAG_BASIS, rows, cols, dim_in, dim_out)
+        T = OperatorWindow(complex_gaussian(rng, (rows, cols)), tag="custom")
+        M_in = SubspaceBasis(complex_gaussian(rng, (cols, dim_in)))
+        M_out = SubspaceBasis(complex_gaussian(rng, (rows, dim_out)))
+        expected = residual_defect(T, M_in, M_out)
+        tol = 1e-14 * np.linalg.norm(T.matrix, 2)
+        res = rel_index(T, M_in, M_out, invariance_tol=math.inf)
+        assert abs(res.defect - expected) <= tol
+        check = is_invariant(T, M_in, codomain=M_out)
+        assert abs(check.defect - expected) <= tol
+        if dim_out == rows or dim_in == 0:
+            assert res.defect == check.defect == 0.0
 
 
 class TestKernelOfPolynomial:
