@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from shiftlab.cli import DEFAULT_N, DEFAULT_SEMICONT_EPS, DEFAULT_STABILITY_EPS
 from shiftlab.operators import shift_window
 from shiftlab.stability import PerturbationPlan, norm_stability_run, semicontinuity_run
 from shiftlab.subspaces import vanishing_subspace
@@ -21,7 +22,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/stability", help="output directory")
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--N", type=int, default=200)
+    parser.add_argument("--N", type=int, default=DEFAULT_N["stability"])
     parser.add_argument("--trials", type=int, default=200)
     args = parser.parse_args(argv)
 
@@ -30,10 +31,9 @@ def main(argv=None):
     bergman = WeightSequence.preset("bergman")
     unweighted = WeightSequence.preset("unweighted")
 
-    eps = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
     slopes = []
     for seed in range(args.seeds):
-        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=eps, seed=seed)
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=DEFAULT_STABILITY_EPS, seed=seed)
         rep = norm_stability_run(bergman, [0.3, -0.4], plan, N=args.N)
         rep.write(out / f"stability-seed{seed:03d}")
         slopes.append(rep.fitted_slope)
@@ -41,13 +41,9 @@ def main(argv=None):
               f"final={rep.metrics['final_distance']:.3e}")
     print(f"slopes: min={min(slopes):.4f} max={max(slopes):.4f}")
 
-    N = 128
+    N = DEFAULT_N["semicont"]
     T = shift_window(unweighted, N)
-    plan = PerturbationPlan(
-        kind="weight_jitter",
-        epsilon_schedule=tuple(2.0 ** -n for n in range(1, 15)),
-        seed=7,
-    )
+    plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=DEFAULT_SEMICONT_EPS, seed=7)
     rep = semicontinuity_run(
         T,
         vanishing_subspace([0.3, -0.4], N),

@@ -8,6 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from shiftlab.cli import DEFAULT_N
 from shiftlab.report import ExperimentReport
 from shiftlab.weights import WeightSequence, classify, radius_estimates
 
@@ -15,7 +16,7 @@ from shiftlab.weights import WeightSequence, classify, radius_estimates
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/survey", help="output directory")
-    parser.add_argument("--N", type=int, default=4096)
+    parser.add_argument("--N", type=int, default=DEFAULT_N["classify"])
     args = parser.parse_args(argv)
 
     out = Path(args.out)

@@ -107,8 +107,9 @@ class RunConfig:
                 self.seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"SHIFTLAB_SEED must be an integer, got {env_seed!r}") from exc
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        for key in ("trials", "n_sets", "batch", "degree"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in FINITE_KEYS:
             value = getattr(self, key)
             values = value if isinstance(value, (tuple, list)) else [value]

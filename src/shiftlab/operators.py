@@ -24,8 +24,7 @@ from .weights import WeightSequence
 
 WINDOW_TAGS = ("shift", "adjoint", "polynomial_in_adjoint", "perturbed", "custom")
 
-TAIL_REL_CUTOFF = 1e-18
-TAIL_MAX_TERMS = 200_000
+_TAIL_BLOCK = 1 << 16  # most tail terms, or runs of terms, evaluated per bound
 
 
 @dataclass
@@ -59,18 +58,26 @@ class OperatorWindow:
 
     def to_csv(self, path) -> None:
         """Row-major CSV with quoted "re,im" cells."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-            for row in self.matrix:
-                writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in row])
+        _write_complex_rows(path, self.matrix)
 
     @classmethod
     def from_csv(cls, path, tag: str = "custom") -> "OperatorWindow":
-        rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for record in csv.reader(fh):
-                rows.append([complex(*map(float, cell.split(","))) for cell in record])
-        return cls(matrix=np.array(rows, dtype=np.complex128), tag=tag)
+        return cls(matrix=_read_complex_rows(path), tag=tag)
+
+
+def _write_complex_rows(path, rows) -> None:
+    """One CSV line per row, one quoted "re,im" cell per entry (repr floats)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        for row in rows:
+            writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in row])
+
+
+def _read_complex_rows(path) -> np.ndarray:
+    """Inverse of _write_complex_rows: the rows as a complex matrix."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [[complex(*map(float, cell.split(","))) for cell in record] for record in csv.reader(fh)]
+    return np.array(rows, dtype=np.complex128)
 
 
 def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
@@ -84,13 +91,8 @@ def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
 
 
 def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
-    """N x (N+1) window of the adjoint; conjugate transpose of shift_window."""
-    if N < 1:
-        raise ValueError("adjoint window needs N >= 1")
-    M = np.zeros((N, N + 1), dtype=np.complex128)
-    k = np.arange(N)
-    M[k, k + 1] = w.alpha_array(N)
-    return OperatorWindow(M, tag="adjoint")
+    """N x (N+1) window of the adjoint: the transpose of shift_window (real weights)."""
+    return OperatorWindow(shift_window(w, N).matrix.T.copy(), tag="adjoint")
 
 
 def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
@@ -121,8 +123,8 @@ class JordanChain:
 
     residuals[k] is the window norm of the defect in link k (k = 0 checks
     the eigen equation). tail_bound bounds the squared l2 mass of the last
-    vector beyond the window, by geometric majorization at rate
-    (|lam| / r_point)^2; it is infinite, and l2_member False, when
+    vector beyond the window, under the majorization
+    pi_n >= pi_N r_point^(n-N); it is infinite, and l2_member False, when
     |lam| >= r_point.
     """
 
@@ -142,30 +144,59 @@ class JordanChain:
         return len(self.vectors[0])
 
 
-def _tail_bound(w: WeightSequence, lam: complex, k: int, N: int, r_point: float) -> float:
-    """Majorize sum_{n >= N} (C(n, k-1) |lam|^(n-k+1) / pi_n)^2.
+def _log_binom(n: np.ndarray, j: int) -> np.ndarray:
+    """log C(n, j) elementwise, for float n >= j."""
+    out = np.zeros(len(n))
+    for i in range(1, j + 1):
+        out += np.log((n - j + i) / i)
+    return out
 
-    Uses pi_n >= pi_N * r_point^(n-N) beyond the window. The binomial
-    factor is polynomial, so the series converges exactly when
-    |lam| < r_point; it is summed until relative machine cutoff.
+
+def _tail_bound(w: WeightSequence, lam: complex, k: int, N: int, r_point: float) -> float:
+    """Upper bound on sum_{n >= N} |f_{k,n}|^2 = sum (C(n, k-1) |lam|^(n-k+1) / pi_n)^2.
+
+    Assumes, without checking it, the majorization pi_n >= pi_N r^(n-N)
+    beyond the window (r = r_point), so each term is at most
+    t_n = (C(n, k-1) |lam|^(n-k+1) / (pi_N r^(n-N)))^2. The ratio
+    rho_n = t_{n+1} / t_n = ((n+1)/(n-k+2))^2 q^2, with q = |lam| / r,
+    decreases towards q^2, so the series converges exactly when q < 1, and
+    t_n rises while rho_n >= 1 and falls after. The geometric remainder
+    t_{n_s} / (1 - rho_{n_s}) bounds the series from the first n_s >= N
+    with rho_{n_s} <= q on. Below n_s, at most _TAIL_BLOCK terms are summed
+    one by one; a longer head is cut into _TAIL_BLOCK runs of L terms, each
+    bounded by L times its larger end term, plus L times the peak term for
+    the run that holds the peak. So the work is O(_TAIL_BLOCK) for every
+    lam, and a bound that overflows is inf.
     """
-    a = abs(lam)
-    if a == 0.0:
+    q = abs(lam) / r_point
+    if q == 0.0:
         return 0.0
-    if a >= r_point:
+    s = q ** -0.5  # rho_n <= q  <=>  (n+1)/(n-k+2) <= s
+    if s <= 1.0:  # q >= 1, or too close to 1 to place n_s
         return math.inf
-    log_pi_N = w.log_pi(N)
-    log_r = math.log(r_point)
-    log_a = math.log(a)
-    total = 0.0
-    for n in range(N, N + TAIL_MAX_TERMS):
-        log_c = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 2)
-        log_term = 2.0 * (log_c + (n - k + 1) * log_a - log_pi_N - (n - N) * log_r)
-        term = math.exp(log_term)
-        total += term
-        if term <= TAIL_REL_CUTOFF * max(total, 1e-300):
-            break
-    return total
+    n_s = max(N, math.ceil((1.0 + s * (k - 2)) / (s - 1.0)))
+    rho = ((n_s + 1) / (n_s - k + 2)) ** 2 * q * q
+    if rho >= 1.0:
+        return math.inf
+    log_pi_N, log_r, log_a = w.log_pi(N), math.log(r_point), math.log(abs(lam))
+
+    def log_term(n) -> np.ndarray:
+        n = np.asarray(n, dtype=float)
+        return 2.0 * (_log_binom(n, k - 1) + (n - k + 1) * log_a - log_pi_N - (n - N) * log_r)
+
+    run = max(1, -(-(n_s - N) // _TAIL_BLOCK))
+    starts = N + run * np.arange(-(-(n_s - N) // run), dtype=float)
+    ends = np.minimum(starts + run, n_s) - 1.0
+    with np.errstate(over="ignore"):
+        if run == 1:
+            total = float(np.sum(np.exp(log_term(starts))))
+        else:
+            runs = np.exp(np.maximum(log_term(starts), log_term(ends))) * (ends - starts + 1.0)
+            # the peak is the first n with rho_n < 1; its neighbours absorb rounding
+            n_peak = min(max(N + 1, math.floor((q + k - 2) / (1.0 - q)) + 1), n_s - 1)
+            peak = float(np.exp(np.max(log_term([n_peak - 1, n_peak, n_peak + 1]))))
+            total = float(np.sum(runs)) + run * peak
+        return total + float(np.exp(log_term([n_s])[0])) / (1.0 - rho)
 
 
 def _link_residual(w: WeightSequence, lam: complex, f_next: np.ndarray, f_prev: np.ndarray | None) -> float:
@@ -176,66 +207,62 @@ def _link_residual(w: WeightSequence, lam: complex, f_next: np.ndarray, f_prev: 
     return float(np.linalg.norm(y))
 
 
-def jordan_chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
-    """Solve the chain recurrence coordinatewise on a window of dimension N.
+def _chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
+    """Closed-form chain pi_n f_{k,n} = C(n, k-1) lam^(n-k+1), zero for n < k-1.
 
-    f_{k, n+1} = (f_{k-1, n} + lam f_{k, n}) / alpha_n with the first k-1
-    coordinates of f_k forced to zero. The leading coordinate of each
-    vector is then a positive product of reciprocal weights.
+    |f_{k,n}| is formed in log space, so long windows neither overflow nor
+    underflow before the final exp, and the phase (lam/|lam|)^(n-k+1) by a
+    running product, which keeps real and imaginary lam exact on their
+    axes. lam = 0 gives f_k = e_{k-1} / pi_{k-1}.
     """
-    if m < 1:
-        raise ValueError("chain length m must be >= 1")
-    if N < m + 2:
-        raise ValueError(f"window too small: need N >= m + 2 = {m + 2}, got {N}")
-    lam = complex(lam)
-    alpha = w.alpha_array(N - 1)
+    log_pi = w.log_pi_array(N - 1)
+    if lam != 0:
+        log_abs = math.log(abs(lam))
+        phase = np.cumprod(np.concatenate([[1.0 + 0j], np.full(N - 1, lam / abs(lam))]))
     vectors: list[np.ndarray] = []
     for k in range(1, m + 1):
         f = np.zeros(N, dtype=np.complex128)
-        prev = vectors[-1] if vectors else None
-        if k == 1:
-            f[0] = 1.0
+        if lam == 0:
+            f[k - 1] = math.exp(-log_pi[k - 1])
         else:
-            f[k - 1] = prev[k - 2] / alpha[k - 2]
-        for n in range(k - 1, N - 1):
-            drive = prev[n] if prev is not None else 0.0
-            f[n + 1] = (drive + lam * f[n]) / alpha[n]
+            n = np.arange(k - 1, N, dtype=float)
+            log_mag = _log_binom(n, k - 1) + (n - (k - 1)) * log_abs - log_pi[k - 1:]
+            f[k - 1:] = np.exp(log_mag) * phase[: N - k + 1]
         vectors.append(f)
 
     residuals = [_link_residual(w, lam, vectors[0], None)]
     for k in range(1, m):
         residuals.append(_link_residual(w, lam, vectors[k], vectors[k - 1]))
 
-    r_point = math.exp(w.log_pi(N) / N)
-    tail = _tail_bound(w, lam, m, N, r_point)
+    r_point = w.r_point(N)
     return JordanChain(
         lam=lam,
         vectors=vectors,
         residuals=residuals,
-        tail_bound=tail,
+        tail_bound=_tail_bound(w, lam, m, N, r_point),
         l2_member=bool(abs(lam) < r_point),
         r_point=r_point,
     )
+
+
+def jordan_chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
+    """Adjoint Jordan chain f_{lam,1} .. f_{lam,m} on a window of dimension N.
+
+    f_{k,n} = C(n, k-1) lam^(n-k+1) / pi_n, so the first k-1 coordinates
+    of f_k are zero and the leading one, 1 / pi_{k-1}, is real positive.
+    """
+    if m < 1:
+        raise ValueError("chain length m must be >= 1")
+    if N < m + 2:
+        raise ValueError(f"window too small: need N >= m + 2 = {m + 2}, got {N}")
+    return _chain(w, complex(lam), m, N)
 
 
 def eigenvector_f1(w: WeightSequence, lam: complex, N: int) -> JordanChain:
     """Adjoint eigenvector (1, lam/pi_1, lam^2/pi_2, ...) on a window."""
     if N < 1:
         raise ValueError("window dimension must be >= 1")
-    if N < 3:
-        # too short for the generic recurrence; build directly
-        lam = complex(lam)
-        f = np.array([lam ** n / w.pi_product(n) for n in range(N)], dtype=np.complex128)
-        r_point = math.exp(w.log_pi(N) / N)
-        return JordanChain(
-            lam=lam,
-            vectors=[f],
-            residuals=[_link_residual(w, lam, f, None)],
-            tail_bound=_tail_bound(w, lam, 1, N, r_point),
-            l2_member=bool(abs(lam) < r_point),
-            r_point=r_point,
-        )
-    return jordan_chain(w, lam, 1, N)
+    return _chain(w, complex(lam), 1, N)
 
 
 def chain_continuity_probe(w: WeightSequence, k: int, r: float, steps: int, N: int = 400) -> float:
@@ -249,7 +276,7 @@ def chain_continuity_probe(w: WeightSequence, k: int, r: float, steps: int, N: i
         raise ValueError("steps must be >= 1")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    r_point = math.exp(w.log_pi(N) / N)
+    r_point = w.r_point(N)
     if r >= r_point:
         raise ValueError(f"radius {r} is not inside the point-spectrum estimate {r_point:.6g}")
     if r == 0.0:

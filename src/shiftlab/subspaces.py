@@ -15,13 +15,14 @@ explicitly, as rel_index requires.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorWindow, jordan_chain
+from .beurling import CoefficientSeries
+from .operators import OperatorWindow, _read_complex_rows, _write_complex_rows, jordan_chain
 from .weights import WeightSequence
 
 DEFAULT_RANK_TOL = 1e-8
@@ -92,18 +93,11 @@ class SubspaceBasis:
 
     def to_csv(self, path) -> None:
         """Column vectors as CSV rows of quoted "re,im" cells."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-            for col in self.matrix.T:
-                writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in col])
+        _write_complex_rows(path, self.matrix.T)
 
     @classmethod
     def from_csv(cls, path) -> "SubspaceBasis":
-        cols = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for record in csv.reader(fh):
-                cols.append([complex(*map(float, cell.split(","))) for cell in record])
-        return cls(np.array(cols, dtype=np.complex128).T)
+        return cls(_read_complex_rows(path).T)
 
 
 @dataclass
@@ -148,38 +142,23 @@ def projection_from_orthonormal(Q: np.ndarray) -> Projection:
 
 
 def gram_schmidt_projection(basis: SubspaceBasis, dependence_tol: float = GS_DEPENDENCE_TOL) -> tuple[SubspaceBasis, Projection]:
-    """Modified Gram-Schmidt with one full reorthogonalization pass.
+    """Orthonormal basis of the span and its orthogonal projection.
 
-    Rejects the first vector whose orthogonalized residual falls below
-    dependence_tol times its original norm.
+    Rejects rank-deficient input as orthonormalize does; like it, it
+    trusts a basis flagged orthonormal and returns it as is, unchecked.
     """
-    B = basis.matrix
-    n, k = B.shape
-    Q = np.zeros((n, k), dtype=np.complex128)
-    for j in range(k):
-        v = B[:, j].copy()
-        original = np.linalg.norm(v)
-        if original == 0.0:
-            raise RankDeficiencyError(j, 0.0)
-        for _ in range(2):  # MGS plus one reorthogonalization pass
-            for i in range(j):
-                v -= (Q[:, i].conj() @ v) * Q[:, i]
-        resid = np.linalg.norm(v)
-        if resid < dependence_tol * original:
-            raise RankDeficiencyError(j, float(resid / original))
-        Q[:, j] = v / resid
-    ortho = SubspaceBasis(Q, orthonormal=True)
-    return ortho, projection_from_orthonormal(Q)
+    ortho = orthonormalize(basis, dependence_tol)
+    return ortho, projection_from_orthonormal(ortho.matrix)
 
 
 def orthonormalize(basis: SubspaceBasis, dependence_tol: float = GS_DEPENDENCE_TOL) -> SubspaceBasis:
     """Orthonormal basis of the same span, via Householder QR.
 
-    Faster than Gram-Schmidt for the wide bases used by index sweeps;
-    rejects rank-deficient input like gram_schmidt_projection does.
-    An orthonormal basis is returned as itself. Otherwise the result is
-    cached on `basis` per dependence_tol, so repeated calls with the same
-    basis cost one QR in total.
+    Rejects the first column j whose |R_jj|, the norm of its residual
+    after projecting out columns 0 .. j-1, falls below dependence_tol
+    times its original norm. An orthonormal basis is returned as itself.
+    Otherwise the result is cached on `basis` per dependence_tol, so
+    repeated calls with the same basis cost one QR in total.
     """
     if basis.orthonormal:
         return basis
@@ -360,9 +339,7 @@ def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:
     m = len(zs)
     if dim <= m:
         raise ValueError(f"need dim > number of zeros, got dim={dim}, zeros={m}")
-    q = np.array([1.0 + 0j])
-    for z in zs:
-        q = np.convolve(q, np.array([-z, 1.0 + 0j]))
+    q = CoefficientSeries.from_roots(zs).coeffs
     cols = np.zeros((dim, dim - m), dtype=np.complex128)
     for j in range(dim - m):
         cols[j : j + m + 1, j] = q
@@ -476,11 +453,8 @@ class ReconstructionResult:
 
 def chain_reference_basis(w: WeightSequence, roots, N: int) -> SubspaceBasis:
     """Span of the adjoint Jordan chains over the given roots (with repeats)."""
-    mults: dict[complex, int] = {}
-    for r in roots:
-        mults[complex(r)] = mults.get(complex(r), 0) + 1
     vectors = []
-    for lam, m in mults.items():
+    for lam, m in Counter(complex(r) for r in roots).items():
         vectors.extend(jordan_chain(w, lam, m, N).vectors)
     return SubspaceBasis.from_vectors(vectors)
 
@@ -510,25 +484,20 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
     if not A.is_square:
         raise ValueError("reconstruction needs a square window")
     N = A.rows
-    r_point = math.exp(w.log_pi(N) / N)
+    r_point = w.r_point(N)
     for r in roots:
         if abs(r) > 0.9 * r_point:
             raise ValueError(f"root {r} outside 0.9 * r_point = {0.9 * r_point:.6g}")
-    mult: dict[complex, int] = {}
-    for r in roots:
-        mult[r] = mult.get(r, 0) + 1
-        if mult[r] > 3:
-            raise ValueError(f"multiplicity of root {r} exceeds 3")
+    r, count = Counter(roots).most_common(1)[0]
+    if count > 3:
+        raise ValueError(f"multiplicity of root {r} exceeds 3")
 
     reference = chain_reference_basis(w, roots, N)
     ref_ortho = orthonormalize(reference)
     if e is None:
         e = default_cyclic_vector(reference)
 
-    p = np.array([1.0 + 0j])
-    for r in roots:
-        p = np.convolve(p, np.array([-r, 1.0 + 0j]))
-    ker = kernel_of_polynomial(A, p, tol=tol, dim=m)
+    ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots), tol=tol, dim=m)
     seed = ker.projection.matrix @ np.asarray(e, dtype=np.complex128)
     if np.linalg.norm(seed) < GS_DEPENDENCE_TOL:
         raise CyclicityError(0, m)

@@ -83,13 +83,19 @@ class WeightSequence:
 
     @classmethod
     def from_file(cls, path) -> "WeightSequence":
-        """Load an explicit table: one omega(n) per line, line number = n."""
+        """Load an explicit table: one omega(n) per line, line number = n.
+
+        Blank lines after the last value are ignored; a blank line before
+        it would shift every later index, so it is an error.
+        """
         lines = Path(path).read_text(encoding="utf-8").splitlines()
+        while lines and not lines[-1].strip():
+            lines.pop()
         vals = []
         for i, line in enumerate(lines):
             text = line.strip()
             if not text:
-                continue
+                raise WeightDataError(f"{path}: line {i} is blank; line number n must hold omega(n)")
             try:
                 vals.append(float(text))
             except ValueError as exc:
@@ -111,46 +117,26 @@ class WeightSequence:
             )
 
     def omega_at(self, n: int) -> float:
-        """omega(n); equals 1 at n = 0 for every kind."""
+        """omega(n), as exp of the log table; equals 1 at n = 0 for every kind.
+
+        Builds the O(n) table to read one entry. For an explicit table the
+        result can differ from the stored value by a few ulp (about 1e-15
+        relative), so do not compare it for exact equality.
+        """
         self._check_index(n, n)
-        if self.kind == "unweighted":
-            return 1.0
-        if self.kind == "bergman":
-            return math.sqrt(n + 1.0)
-        if self.kind == "quasianalytic_sqrt":
-            return math.exp(math.sqrt(n))
-        return float(self.explicit_values[n])
+        return math.exp(self.log_omega_array(n + 1)[n])
 
     def alpha_at(self, n: int) -> float:
-        """Shift weight alpha_n."""
+        """Shift weight alpha_n, as exp of the O(n) log-alpha table.
+
+        For an explicit table the result can differ from the ratio
+        omega(n+1) / omega(n) of the stored values by a few ulp.
+        """
         self._check_index(n, n + 1)
-        if self.kind == "unweighted":
-            return 1.0
-        if self.kind == "bergman":
-            return math.sqrt((n + 1.0) / (n + 2.0))
-        if self.kind == "quasianalytic_sqrt":
-            return math.exp(math.sqrt(n + 1.0) - math.sqrt(n))
-        return float(self.explicit_values[n + 1] / self.explicit_values[n])
-
-    def log_alpha_array(self, count: int) -> np.ndarray:
-        """log alpha_0 .. log alpha_{count-1}, vectorized."""
-        self._check_index(0, count)
-        n = np.arange(count, dtype=float)
-        if self.kind == "unweighted":
-            return np.zeros(count)
-        if self.kind == "bergman":
-            return 0.5 * (np.log(n + 1.0) - np.log(n + 2.0))
-        if self.kind == "quasianalytic_sqrt":
-            return np.sqrt(n + 1.0) - np.sqrt(n)
-        vals = self.explicit_values
-        return np.log(vals[1 : count + 1]) - np.log(vals[:count])
-
-    def alpha_array(self, count: int) -> np.ndarray:
-        """alpha_0 .. alpha_{count-1}."""
-        return np.exp(self.log_alpha_array(count))
+        return math.exp(self.log_alpha_array(n + 1)[n])
 
     def log_omega_array(self, count: int) -> np.ndarray:
-        """log omega(0) .. log omega(count-1)."""
+        """log omega(0) .. log omega(count-1); the only per-kind formula."""
         self._check_index(0, count - 1)
         n = np.arange(count, dtype=float)
         if self.kind == "unweighted":
@@ -161,15 +147,30 @@ class WeightSequence:
             return np.sqrt(n)
         return np.log(self.explicit_values[:count])
 
-    def log_pi(self, n: int) -> float:
-        """log of pi_n = prod_{k<n} alpha_k, accumulated in log space."""
-        if n == 0:
-            return 0.0
-        return float(np.sum(self.log_alpha_array(n)))
+    def log_alpha_array(self, count: int) -> np.ndarray:
+        """log alpha_0 .. log alpha_{count-1}: increments of log omega.
+
+        Bergman stores omega as the reciprocal running product, so its
+        increments are negated.
+        """
+        increments = np.diff(self.log_omega_array(count + 1))
+        return -increments if self.kind == "bergman" else increments
+
+    def alpha_array(self, count: int) -> np.ndarray:
+        """alpha_0 .. alpha_{count-1}."""
+        return np.exp(self.log_alpha_array(count))
 
     def log_pi_array(self, count: int) -> np.ndarray:
         """log pi_0 .. log pi_count (length count + 1)."""
         return np.concatenate([[0.0], np.cumsum(self.log_alpha_array(count))])
+
+    def log_pi(self, n: int) -> float:
+        """log of pi_n = prod_{k<n} alpha_k, accumulated in log space."""
+        return float(self.log_pi_array(n)[n])
+
+    def r_point(self, N: int) -> float:
+        """(pi_N)^(1/N), the growth rate that decides which adjoint eigenvectors are l2."""
+        return math.exp(self.log_pi(N) / N)
 
     def pi_product(self, n: int) -> float:
         """pi_n = alpha_0 * ... * alpha_{n-1}; the empty product is 1."""
@@ -235,10 +236,9 @@ def radius_estimates(w: WeightSequence, N: int, window_len: int | None = None) -
     if not 1 <= L <= N:
         raise ValueError(f"window_len must lie in [1, N], got {L}")
     logpi = w.log_pi_array(N)
-    r_point = math.exp(logpi[N] / N)
     means = (logpi[L:] - logpi[:-L]) / L
     return RadiusEstimates(
-        r_point=r_point,
+        r_point=w.r_point(N),
         r_spec=float(np.exp(np.max(means))),
         r0=float(np.exp(np.min(means))),
         window_len=L,

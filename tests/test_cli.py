@@ -162,6 +162,18 @@ class TestCommands:
         assert not (tmp_path / "t0.report.json").exists()
 
     @pytest.mark.parametrize("argv, key", [
+        (["beurling-index", "--sets", "0"], "n_sets"),
+        (["beurling-check", "--batch", "0"], "batch"),
+        (["beurling-check", "--degree", "0"], "degree"),
+        (["beurling-check", "--degree", "-3"], "degree"),
+    ])
+    def test_non_positive_count_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
+        code = run_cli(argv + ["--output", "np"], tmp_path, monkeypatch)
+        assert code == 1
+        assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "np.report.json").exists()
+
+    @pytest.mark.parametrize("argv, key", [
         (["chain", "--lambda", "nan"], "lam"),
         (["stability", "--p-roots", "nan,0.3"], "p_roots"),
         (["stability", "--eps", "1e-1,inf"], "eps"),

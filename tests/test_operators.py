@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestJordanChain:
     def test_link_residuals_small(self):
         N = 400
         for w in PRESETS:
-            r_point = math.exp(w.log_pi(N) / N)
+            r_point = w.r_point(N)
             boundary = 0.9 * r_point * np.exp(1.1j)
             for lam in (0.3, 0.5j, -0.6, boundary):
                 chain = jordan_chain(w, lam, 3, N)
@@ -179,11 +180,102 @@ class TestJordanChain:
                     assert np.allclose(other[k], base, rtol=1e-10, atol=0)
 
 
+def recurrence_chain(w, lam, m, N):
+    """Reference: the chain recurrence solved coordinate by coordinate.
+
+    f_{k, n+1} = (f_{k-1, n} + lam f_{k, n}) / alpha_n with the first k-1
+    coordinates of f_k zero and f_{k, k-1} = f_{k-1, k-2} / alpha_{k-2}.
+    """
+    lam = complex(lam)
+    alpha = w.alpha_array(N - 1)
+    vectors = []
+    for k in range(1, m + 1):
+        f = np.zeros(N, dtype=np.complex128)
+        prev = vectors[-1] if vectors else None
+        if k == 1:
+            f[0] = 1.0
+        else:
+            f[k - 1] = prev[k - 2] / alpha[k - 2]
+        for n in range(k - 1, N - 1):
+            drive = prev[n] if prev is not None else 0.0
+            f[n + 1] = (drive + lam * f[n]) / alpha[n]
+        vectors.append(f)
+    return vectors
+
+
+class TestClosedFormChain:
+    @pytest.mark.parametrize("w", PRESETS, ids=lambda w: w.kind)
+    def test_matches_recurrence(self, w):
+        for lam in (0.0, 0.3, 0.5j, -0.6, 0.999):
+            for m in (1, 2, 3):
+                for N in (m + 2, 200, 400):
+                    chain = jordan_chain(w, lam, m, N)
+                    for got, ref in zip(chain.vectors, recurrence_chain(w, lam, m, N)):
+                        assert np.array_equal(got == 0, ref == 0)
+                        nz = ref != 0
+                        assert np.all(np.abs(got[nz] - ref[nz]) <= 1e-12 * np.abs(ref[nz])), (lam, m, N)
+
+    @pytest.mark.parametrize("w", PRESETS, ids=lambda w: w.kind)
+    def test_eigenvector_on_tiny_windows(self, w):
+        lam = 0.4 - 0.3j
+        one = eigenvector_f1(w, lam, 1)
+        assert np.array_equal(one.vectors[0], np.array([1.0 + 0j]))
+        assert one.residuals == [0.0]
+        two = eigenvector_f1(w, lam, 2)
+        f = two.vectors[0]
+        assert f[0] == 1.0
+        assert f[1] == pytest.approx(lam / w.pi_product(1), rel=1e-14)
+        assert two.residuals[0] <= 1e-15
+        assert two.r_point == w.r_point(2)
+
+
+class TestTailBound:
+    def test_geometric_value_for_single_vector(self):
+        # unit weights: the tail sum_{n >= N} lam^(2n) is geometric
+        lam, N = 0.99999, 200
+        chain = jordan_chain(UNW, lam, 1, N)
+        assert chain.tail_bound == pytest.approx(lam ** (2 * N) / (1 - lam ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.99, 0.999])
+    def test_bounds_the_exact_unweighted_tail(self, lam):
+        # unit weights meet the majorization with equality, so the bound must
+        # cover the exact tail sum_{n >= N} (C(n, 2) lam^(n-2))^2 and stay close to it
+        N = 200
+        n = np.arange(N, N + 200_000, dtype=float)
+        exact = float(np.sum(np.exp(2.0 * (np.log(n * (n - 1) / 2.0) + (n - 2) * math.log(lam)))))
+        bound = jordan_chain(UNW, lam, 3, N).tail_bound
+        assert exact <= bound <= 1.05 * exact
+
+    @pytest.mark.parametrize("lam", [0.99999, 1 - 1e-12])
+    def test_long_head_is_bounded_quickly(self, lam):
+        # millions to trillions of terms precede the geometric remainder; the
+        # bound must still cover the exact tail, taken here from the closed form
+        # sum_{n >= 2} C(n, 2)^2 x^(n-2) = (1 + 4x + x^2) / (1 - x)^5, x = lam^2
+        N, x = 200, lam * lam
+        head = sum(math.comb(n, 2) ** 2 * x ** (n - 2) for n in range(2, N))
+        exact = (1 + 4 * x + x * x) / (1 - x) ** 5 - head
+        start = time.perf_counter()
+        bound = jordan_chain(UNW, lam, 3, N).tail_bound
+        assert time.perf_counter() - start < 2.0
+        assert exact <= bound <= 1.05 * exact
+
+    @pytest.mark.parametrize("lam", [1 - 2.0 ** -50, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_float_limit_gives_inf_or_a_bound(self, lam, m):
+        x = lam * lam
+        bound = jordan_chain(UNW, lam, m, 200).tail_bound
+        if lam >= 1.0:
+            assert bound == math.inf
+        elif bound != math.inf:
+            # the tail dominates x^(N-m+1) C(N, m-1)^2 / (1 - x)
+            assert bound >= math.comb(200, m - 1) ** 2 * x ** (201 - m) / (1 - x)
+
+
 class TestKernelDimension:
     @pytest.mark.parametrize("w", PRESETS, ids=lambda w: w.kind)
     def test_windowed_kernel_is_one_dimensional(self, w):
         N = 120
-        r_point = math.exp(w.log_pi(N) / N)
+        r_point = w.r_point(N)
         A = adjoint_window(w, N).matrix
         for lam in (0.2, -0.5j, 0.6 * r_point):
             B = A.copy()

@@ -116,7 +116,7 @@ class TestIsInvariant:
     def test_adjoint_eigenvector_span(self):
         N = 200
         A = adjoint_window(BER, N)
-        r_point = math.exp(BER.log_pi(N) / N)
+        r_point = BER.r_point(N)
         for lam in (0.2, 0.5j, -0.8 * r_point):
             f = eigenvector_f1(BER, lam, N + 1).vectors[0]
             check = is_invariant(A, SubspaceBasis.from_vectors([f]), tol=1e-10)

@@ -89,6 +89,48 @@ class TestPiProduct:
             assert np.max(np.abs(w.alpha_array(10_001) - ratio) / ratio) <= 1e-12
 
 
+def per_kind_log_alpha(w, count):
+    """Independent per-kind formulas for log alpha_n, the reference for the table-derived ones."""
+    n = np.arange(count, dtype=float)
+    if w.kind == "unweighted":
+        return np.zeros(count)
+    if w.kind == "bergman":
+        return 0.5 * (np.log(n + 1.0) - np.log(n + 2.0))
+    if w.kind == "quasianalytic_sqrt":
+        return np.sqrt(n + 1.0) - np.sqrt(n)
+    vals = w.explicit_values
+    return np.log(vals[1 : count + 1]) - np.log(vals[:count])
+
+
+class TestLogOmegaTable:
+    @pytest.mark.parametrize("w", [UNW, BER, QAS, polynomial_weight(1.5, 5000),
+                                   WeightSequence.from_values(1.0 + np.linspace(0.0, 3.0, 300) ** 2)],
+                             ids=lambda w: w.kind)
+    def test_log_alpha_bitwise_equal_to_per_kind_formulas(self, w):
+        for count in (0, 1, 7, min(w.max_index_hint or 10_000, 10_000) - 1):
+            assert np.array_equal(w.log_alpha_array(count), per_kind_log_alpha(w, count))
+
+    @pytest.mark.parametrize("w", [UNW, BER, QAS, polynomial_weight(2.0, 2048)], ids=lambda w: w.kind)
+    def test_r_point_matches_radius_estimates(self, w):
+        for N in (64, 200, 1024):
+            assert w.r_point(N) == radius_estimates(w, N).r_point
+
+    def test_explicit_accessors_close_to_the_table(self):
+        # omega_at and alpha_at exponentiate the log tables, so on an explicit
+        # table they may miss the stored values by a few ulp (822 of these 999
+        # omega values do; the worst relative gap is 8.9e-16, for alpha)
+        values = np.arange(1.0, 1001.0)
+        w = WeightSequence.from_values(values)
+        for n in range(999):
+            assert w.omega_at(n) == pytest.approx(values[n], rel=2e-15, abs=0)
+            assert w.alpha_at(n) == pytest.approx(values[n + 1] / values[n], rel=2e-15, abs=0)
+
+    def test_log_pi_reads_the_cumulative_table(self):
+        for w in (UNW, BER, QAS):
+            table = w.log_pi_array(300)
+            assert all(w.log_pi(n) == table[n] for n in (0, 1, 17, 300))
+
+
 class TestRadiusEstimates:
     def test_unweighted_all_one(self):
         est = radius_estimates(UNW, 256)
@@ -178,6 +220,20 @@ class TestExplicitData:
         path.write_text("1.0\nnot-a-number\n", encoding="utf-8")
         with pytest.raises(WeightDataError):
             WeightSequence.from_file(path)
+
+    def test_blank_line_before_last_value_rejected(self, tmp_path):
+        # skipping it would load omega(2) = 4.0
+        path = tmp_path / "w.txt"
+        path.write_text("1.0\n2.0\n\n4.0\n", encoding="utf-8")
+        with pytest.raises(WeightDataError, match="line 2"):
+            WeightSequence.from_file(path)
+
+    def test_trailing_newlines_allowed(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1.0\n2.0\n4.0\n\n", encoding="utf-8")
+        w = WeightSequence.from_file(path)
+        assert w.max_index_hint == 2
+        assert w.omega_at(2) == pytest.approx(4.0, rel=1e-15)
 
     def test_omega_below_one_rejected(self):
         with pytest.raises(ValueError):
