@@ -86,11 +86,46 @@ class CoefficientSeries:
         return cls(np.array([complex(re, im) for re, im in pairs], dtype=np.complex128))
 
 
+# -- coefficient-row kernels ------------------------------------------------------
+# Each kernel is the only formula for its operation. It acts on the last axis,
+# so it takes one coefficient vector or a (samples, length) batch of rows.
+# Batch rows are not trimmed; trailing zeros add nothing to a norm.
+
+# Most coefficients per series array in one block of samples, so memory is
+# bounded for any batch size and degree.
+_BLOCK_COEFFS = 1 << 16
+
+
+def _cauchy_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy products of a and b row by row, looping over the shorter factor.
+
+    The leading axes broadcast (one p against a batch); an empty factor
+    gives an empty product.
+    """
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    la, lb = a.shape[-1], b.shape[-1]
+    rows = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(rows + (la + lb - 1 if la else 0,), dtype=np.complex128)
+    for j in range(la):
+        out[..., j:j + lb] += a[..., j, None] * b
+    return out
+
+
+def _derivative_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[..., 1:] * np.arange(1, rows.shape[-1])
+
+
+def _weighted_norms(rows: np.ndarray, w: WeightSequence, s: int = 0) -> np.ndarray:
+    """omega_s norm of every row, with one weight vector for the whole batch."""
+    n = np.arange(rows.shape[-1], dtype=float)
+    weights = np.exp(w.log_omega_array(rows.shape[-1]) - s * np.log1p(n))
+    return np.linalg.norm(rows * weights, axis=-1)
+
+
 def multiply(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
     """Cauchy product; degree adds, zero factors give the zero series."""
-    if f.is_zero or g.is_zero:
-        return CoefficientSeries.zero()
-    return CoefficientSeries(np.convolve(f.coeffs, g.coeffs))
+    return CoefficientSeries(_cauchy_rows(f.coeffs, g.coeffs))
 
 
 def add(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
@@ -99,20 +134,39 @@ def add(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
 
 
 def derivative(f: CoefficientSeries) -> CoefficientSeries:
-    if f.degree < 1:
-        return CoefficientSeries.zero()
-    n = np.arange(1, len(f.coeffs))
-    return CoefficientSeries(n * f.coeffs[1:])
+    return CoefficientSeries(_derivative_rows(f.coeffs))
 
 
 def beurling_norm(f: CoefficientSeries, w: WeightSequence, s: int = 0) -> float:
     """Weighted l2 coefficient norm; s > 0 measures against omega_s."""
-    if f.is_zero:
-        return 0.0
-    n = np.arange(len(f.coeffs), dtype=float)
-    log_omega = w.log_omega_array(len(f.coeffs))
-    weights = np.exp(log_omega - s * np.log1p(n))
-    return float(np.linalg.norm(f.coeffs * weights))
+    return float(_weighted_norms(f.coeffs, w, s))
+
+
+def _draw_block(seed: int, kind: int, start: int, stop: int, length: int, count: int) -> np.ndarray:
+    """(count, stop - start, length) series for samples start .. stop-1.
+
+    Each sample has its own stream (seed, TAG_SERIES, kind, i) and draws its
+    count series in order, so a sample's draws do not depend on the block.
+    """
+    out = np.empty((stop - start, count, length), dtype=np.complex128)
+    for row, i in enumerate(range(start, stop)):
+        out[row] = complex_uniform_square(stream(seed, TAG_SERIES, kind, i), count, length)
+    return out.transpose(1, 0, 2)
+
+
+def _batches(seed: int, kind: int, n: int, length: int, count: int):
+    """Samples 0 .. n-1 as (count, rows, length) blocks of at most
+    max(1, _BLOCK_COEFFS // length) rows.
+
+    A sample with an exactly zero series is dropped; a block left empty is
+    not yielded.
+    """
+    rows = max(1, _BLOCK_COEFFS // length)
+    for start in range(0, n, rows):
+        series = _draw_block(seed, kind, start, min(n, start + rows), length, count)
+        keep = np.all(np.any(series != 0, axis=-1), axis=0)
+        if keep.any():
+            yield series[:, keep]
 
 
 # -- convolution algebra constant ------------------------------------------------
@@ -185,29 +239,34 @@ def algebra_constant(w: WeightSequence | None, N: int) -> AlgebraConstantReport:
 
 # -- product inequality ------------------------------------------------------------
 
+def _wa_parts(p: np.ndarray, F1: np.ndarray, F2: np.ndarray, w: WeightSequence):
+    """Per row: ||p f1 f2||, ||p f1|| and ||p f2|| in the omega norm."""
+    PF1 = _cauchy_rows(p, F1)
+    PF2 = _cauchy_rows(p, F2)
+    return _weighted_norms(_cauchy_rows(PF1, F2), w), _weighted_norms(PF1, w), _weighted_norms(PF2, w)
+
+
 def check_wa(p: CoefficientSeries, f1: CoefficientSeries, f2: CoefficientSeries,
              w: WeightSequence) -> float:
     """Ratio ||p f1 f2|| / (||p f1|| ||p f2||) in the omega norm."""
-    pf1 = multiply(p, f1)
-    pf2 = multiply(p, f2)
-    d1 = beurling_norm(pf1, w)
-    d2 = beurling_norm(pf2, w)
+    num, d1, d2 = _wa_parts(p.coeffs, f1.coeffs, f2.coeffs, w)
     if d1 == 0.0 or d2 == 0.0:
         raise ZeroDivisionError("p*f1 and p*f2 must be nonzero")
-    return beurling_norm(multiply(pf1, f2), w) / (d1 * d2)
+    return float(num / (d1 * d2))
 
 
 def check_wa_batch(p: CoefficientSeries, w: WeightSequence, degree: int,
                    n_pairs: int, seed: int) -> float:
-    """Empirical max of the product ratio over seeded random pairs."""
+    """Empirical max of the product ratio over seeded random pairs.
+
+    Pairs with p f1 = 0 or p f2 = 0 are skipped; with none left the max is 0.0.
+    """
+    if p.is_zero:
+        return 0.0
     worst = 0.0
-    for i in range(n_pairs):
-        rng = stream(seed, TAG_SERIES, 1, i)
-        f1 = CoefficientSeries(complex_uniform_square(rng, degree + 1))
-        f2 = CoefficientSeries(complex_uniform_square(rng, degree + 1))
-        if multiply(p, f1).is_zero or multiply(p, f2).is_zero:
-            continue
-        worst = max(worst, check_wa(p, f1, f2, w))
+    for F1, F2 in _batches(seed, 1, n_pairs, degree + 1, 2):
+        num, d1, d2 = _wa_parts(p.coeffs, F1, F2, w)
+        worst = max(worst, float(np.max(num / (d1 * d2))))
     return worst
 
 
@@ -225,6 +284,14 @@ def divide_by_z_minus_1(g: CoefficientSeries) -> CoefficientSeries:
     return CoefficientSeries(tails[1:])
 
 
+_Z_MINUS_1 = np.array([-1.0 + 0j, 1.0 + 0j])
+
+
+def _wc_ratios(F: np.ndarray, w: WeightSequence) -> np.ndarray:
+    """Per row: ||(z-1) f||_omega / ||f||_omega_1."""
+    return _weighted_norms(_cauchy_rows(_Z_MINUS_1, F), w) / _weighted_norms(F, w, s=1)
+
+
 def check_wc(f: CoefficientSeries, w: WeightSequence, tail_check_N: int | None = None) -> float:
     """Ratio ||(z-1) f||_omega / ||f||_omega_1.
 
@@ -238,25 +305,27 @@ def check_wc(f: CoefficientSeries, w: WeightSequence, tail_check_N: int | None =
     if w.kind != "explicit" or w.max_index_hint >= N_check:
         if not omega_s_increasing_tail(w, 2, N_check):
             warnings.warn("omega_2 is not increasing on the checked tail; no lower bound is claimed", RuntimeWarning)
-    z_minus_1 = CoefficientSeries(np.array([-1.0 + 0j, 1.0 + 0j]))
-    return beurling_norm(multiply(z_minus_1, f), w) / beurling_norm(f, w, s=1)
+    return float(_wc_ratios(f.coeffs, w))
 
 
 def check_wc_batch(w: WeightSequence, degree: int, n_samples: int, seed: int) -> float:
-    """Empirical min of the division ratio over seeded random series."""
+    """Empirical min of the division ratio over seeded random series.
+
+    Zero series are skipped; with none left the min is inf. The omega_2 tail
+    check of check_wc is not made: a batch reports the ratio either way.
+    """
     best = math.inf
-    for i in range(n_samples):
-        rng = stream(seed, TAG_SERIES, 2, i)
-        f = CoefficientSeries(complex_uniform_square(rng, degree + 1))
-        if f.is_zero:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            best = min(best, check_wc(f, w))
+    for (F,) in _batches(seed, 2, n_samples, degree + 1, 1):
+        best = min(best, float(np.min(_wc_ratios(F, w))))
     return best
 
 
 # -- derivative norm equivalence -----------------------------------------------------
+
+def _derivative_sides(F: np.ndarray, w: WeightSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: ||f||_omega and |f(0)| + ||f'||_omega_1."""
+    return _weighted_norms(F, w), np.abs(F[..., 0]) + _weighted_norms(_derivative_rows(F), w, s=1)
+
 
 def derivative_equivalence_probe(f: CoefficientSeries, w: WeightSequence) -> tuple[float, float]:
     """Return (||f||_omega, |f(0)| + ||f'||_omega_1).
@@ -267,21 +336,18 @@ def derivative_equivalence_probe(f: CoefficientSeries, w: WeightSequence) -> tup
     """
     if f.is_zero:
         raise ZeroDivisionError("f must be nonzero")
-    left = beurling_norm(f, w)
-    right = abs(complex(f.coeffs[0])) + beurling_norm(derivative(f), w, s=1)
-    return left, right
+    left, right = _derivative_sides(f.coeffs, w)
+    return float(left), float(right)
 
 
 def derivative_probe_batch(w: WeightSequence, degree: int, n_samples: int, seed: int) -> tuple[float, float]:
-    """Empirical (min, max) of left/right over seeded random series."""
+    """Empirical (min, max) of left/right over seeded random series.
+
+    Zero series are skipped; with none left the result is (inf, 0.0).
+    """
     lo, hi = math.inf, 0.0
-    for i in range(n_samples):
-        rng = stream(seed, TAG_SERIES, 3, i)
-        f = CoefficientSeries(complex_uniform_square(rng, degree + 1))
-        if f.is_zero:
-            continue
-        left, right = derivative_equivalence_probe(f, w)
+    for (F,) in _batches(seed, 3, n_samples, degree + 1, 1):
+        left, right = _derivative_sides(F, w)
         ratio = left / right
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
+        lo, hi = min(lo, float(np.min(ratio))), max(hi, float(np.max(ratio)))
     return lo, hi

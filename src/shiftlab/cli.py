@@ -5,8 +5,9 @@ Each invocation runs one command, writes <output>.report.json (and a
 summary to stderr. Exit status: 0 for a completed computation or passing
 verdict, 2 when a verdict fails, 1 for configuration or runtime errors.
 
-Complex scalars on the command line use the a+bi syntax with no spaces
-(ASCII or U+2212 minus both accepted), e.g. 0.3, -0.4i, 0.5+0.2i.
+Complex scalars on the command line use the a+bi syntax with no spaces,
+e.g. 0.3, -0.4i, 0.5+0.2i; there and in float lists ASCII or U+2212
+minus are both accepted.
 The environment variable SHIFTLAB_SEED overrides any configured seed.
 """
 
@@ -63,7 +64,7 @@ def parse_complex_list(text: str) -> tuple[complex, ...]:
 
 def parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(float(part) for part in text.replace("−", "-").split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
 
@@ -238,6 +239,13 @@ def _run_beurling_index(config: RunConfig) -> ExperimentReport:
 
 
 def _run_beurling_check(config: RunConfig) -> ExperimentReport:
+    """Batch Beurling-algebra probes at degree d and 2d.
+
+    The verdict passes when wa_growth <= trend_tol, wc_shrink <= trend_tol
+    and every derivative ratio lies in [0.1, 10]; nothing else is read.
+    metrics.unbounded_trend (the convolution-kernel sums still growing at
+    the last degree) is reported but is not part of the verdict.
+    """
     w = load_weight(config.weight)
     p = bl.CoefficientSeries.from_roots([1.0])  # z - 1
     per_step = []

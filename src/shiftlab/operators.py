@@ -207,27 +207,33 @@ def _link_residual(w: WeightSequence, lam: complex, f_next: np.ndarray, f_prev: 
     return float(np.linalg.norm(y))
 
 
-def _chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
-    """Closed-form chain pi_n f_{k,n} = C(n, k-1) lam^(n-k+1), zero for n < k-1.
+def _chain_rows(log_pi: np.ndarray, log_abs: float, unit: np.ndarray, k: int, N: int) -> np.ndarray:
+    """f_{lam,k} for lam = exp(log_abs) unit, one row per unit phase.
 
-    |f_{k,n}| is formed in log space, so long windows neither overflow nor
-    underflow before the final exp, and the phase (lam/|lam|)^(n-k+1) by a
-    running product, which keeps real and imaginary lam exact on their
-    axes. lam = 0 gives f_k = e_{k-1} / pi_{k-1}.
+    pi_n f_{k,n} = C(n, k-1) lam^(n-k+1), zero for n < k-1. |f_{k,n}| is
+    formed in log space, so long windows neither overflow nor underflow
+    before the final exp, and the phase unit^(n-k+1) by a running product,
+    which keeps real and imaginary lam exact on their axes.
     """
+    n = np.arange(k - 1, N, dtype=float)
+    log_mag = _log_binom(n, k - 1) + (n - (k - 1)) * log_abs - log_pi[k - 1:]
+    factors = np.ones((len(unit), N - k + 1), dtype=np.complex128)
+    factors[:, 1:] = unit[:, None]
+    rows = np.zeros((len(unit), N), dtype=np.complex128)
+    rows[:, k - 1:] = np.exp(log_mag) * np.cumprod(factors, axis=1)
+    return rows
+
+
+def _chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
+    """Closed-form chain from _chain_rows; lam = 0 gives f_k = e_{k-1} / pi_{k-1}."""
     log_pi = w.log_pi_array(N - 1)
-    if lam != 0:
-        log_abs = math.log(abs(lam))
-        phase = np.cumprod(np.concatenate([[1.0 + 0j], np.full(N - 1, lam / abs(lam))]))
     vectors: list[np.ndarray] = []
     for k in range(1, m + 1):
-        f = np.zeros(N, dtype=np.complex128)
         if lam == 0:
+            f = np.zeros(N, dtype=np.complex128)
             f[k - 1] = math.exp(-log_pi[k - 1])
         else:
-            n = np.arange(k - 1, N, dtype=float)
-            log_mag = _log_binom(n, k - 1) + (n - (k - 1)) * log_abs - log_pi[k - 1:]
-            f[k - 1:] = np.exp(log_mag) * phase[: N - k + 1]
+            f = _chain_rows(log_pi, math.log(abs(lam)), np.array([lam / abs(lam)]), k, N)[0]
         vectors.append(f)
 
     residuals = [_link_residual(w, lam, vectors[0], None)]
@@ -245,16 +251,20 @@ def _chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
     )
 
 
+def _check_chain_size(m: int, N: int) -> None:
+    if m < 1:
+        raise ValueError("chain length m must be >= 1")
+    if N < m + 2:
+        raise ValueError(f"window too small: need N >= m + 2 = {m + 2}, got {N}")
+
+
 def jordan_chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
     """Adjoint Jordan chain f_{lam,1} .. f_{lam,m} on a window of dimension N.
 
     f_{k,n} = C(n, k-1) lam^(n-k+1) / pi_n, so the first k-1 coordinates
     of f_k are zero and the leading one, 1 / pi_{k-1}, is real positive.
     """
-    if m < 1:
-        raise ValueError("chain length m must be >= 1")
-    if N < m + 2:
-        raise ValueError(f"window too small: need N >= m + 2 = {m + 2}, got {N}")
+    _check_chain_size(m, N)
     return _chain(w, complex(lam), m, N)
 
 
@@ -270,7 +280,8 @@ def chain_continuity_probe(w: WeightSequence, k: int, r: float, steps: int, N: i
 
     The discrete modulus of continuity of the chain map along the circle;
     it must shrink as the grid refines, for r below the point-spectrum
-    radius estimate.
+    radius estimate. All grid points share |lam| = r, so the chain vectors
+    are built together as one (steps + 1) x N array.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -281,11 +292,7 @@ def chain_continuity_probe(w: WeightSequence, k: int, r: float, steps: int, N: i
         raise ValueError(f"radius {r} is not inside the point-spectrum estimate {r_point:.6g}")
     if r == 0.0:
         return 0.0
-    grid = r * np.exp(2j * np.pi * np.arange(steps + 1) / steps)
-    prev = jordan_chain(w, grid[0], k, N).vectors[-1]
-    worst = 0.0
-    for lam in grid[1:]:
-        cur = jordan_chain(w, lam, k, N).vectors[-1]
-        worst = max(worst, float(np.linalg.norm(cur - prev)))
-        prev = cur
-    return worst
+    _check_chain_size(k, N)
+    unit = np.exp(2j * np.pi * np.arange(steps + 1) / steps)
+    rows = _chain_rows(w.log_pi_array(N - 1), math.log(r), unit, k, N)
+    return float(np.max(np.linalg.norm(np.diff(rows, axis=0), axis=1)))

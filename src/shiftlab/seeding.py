@@ -31,6 +31,11 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def complex_uniform_square(rng: np.random.Generator, shape) -> np.ndarray:
-    """Coefficients uniform on the complex square [-1, 1] x [-1, 1]i."""
-    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+def complex_uniform_square(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
+    """count series of length coefficients uniform on the complex square [-1, 1] x [-1, 1]i.
+
+    Each series draws its real parts, then its imaginary parts, before the
+    next series starts; the result has shape (count, length).
+    """
+    parts = rng.uniform(-1.0, 1.0, (count, 2, length))
+    return parts[:, 0] + 1j * parts[:, 1]

@@ -360,10 +360,9 @@ def polynomial_of_window(A: OperatorWindow, p) -> OperatorWindow:
     coeffs = _poly_coeffs(p)
     if len(coeffs) == 0:
         return OperatorWindow(np.zeros_like(A.matrix), tag="polynomial_in_adjoint")
-    N = A.rows
-    P = np.zeros_like(A.matrix)
-    eye = np.eye(N, dtype=np.complex128)
-    for c in coeffs[::-1]:
+    eye = np.eye(A.rows, dtype=np.complex128)
+    P = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
         P = P @ A.matrix + c * eye
     return OperatorWindow(P, tag="polynomial_in_adjoint")
 

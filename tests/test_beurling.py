@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import beurling
 from shiftlab.beurling import (
     CoefficientSeries,
     add,
@@ -20,7 +22,8 @@ from shiftlab.beurling import (
     divide_by_z_minus_1,
     multiply,
 )
-from shiftlab.weights import WeightSequence, polynomial_weight
+from shiftlab.seeding import TAG_SERIES, stream
+from shiftlab.weights import WeightDataError, WeightSequence, polynomial_weight
 
 QAS = WeightSequence.preset("quasianalytic_sqrt")
 LINEAR = polynomial_weight(1.0, 512)  # omega(n) = n + 1
@@ -269,3 +272,179 @@ class TestDerivativeEquivalence:
     def test_batch_two_sided(self):
         lo, hi = derivative_probe_batch(LINEAR, 64, 200, seed=9)
         assert 0.1 <= lo <= hi <= 10.0
+
+
+# -- reference: the batch checks as one loop over samples, one series at a time --
+
+def ref_norm(f, w, s=0):
+    if f.is_zero:
+        return 0.0
+    n = np.arange(len(f.coeffs), dtype=float)
+    weights = np.exp(w.log_omega_array(len(f.coeffs)) - s * np.log1p(n))
+    return float(np.linalg.norm(f.coeffs * weights))
+
+
+def ref_series(rng, degree):
+    return CoefficientSeries(rng.uniform(-1.0, 1.0, degree + 1) + 1j * rng.uniform(-1.0, 1.0, degree + 1))
+
+
+def ref_multiply(f, g):
+    if f.is_zero or g.is_zero:
+        return CoefficientSeries.zero()
+    return CoefficientSeries(np.convolve(f.coeffs, g.coeffs))
+
+
+def ref_wa_batch(p, w, degree, n_pairs, seed):
+    worst = 0.0
+    for i in range(n_pairs):
+        rng = stream(seed, TAG_SERIES, 1, i)
+        f1, f2 = ref_series(rng, degree), ref_series(rng, degree)
+        pf1, pf2 = ref_multiply(p, f1), ref_multiply(p, f2)
+        if pf1.is_zero or pf2.is_zero:
+            continue
+        worst = max(worst, ref_norm(ref_multiply(pf1, f2), w) / (ref_norm(pf1, w) * ref_norm(pf2, w)))
+    return worst
+
+
+def ref_wc_batch(w, degree, n_samples, seed):
+    best = math.inf
+    for i in range(n_samples):
+        f = ref_series(stream(seed, TAG_SERIES, 2, i), degree)
+        if f.is_zero:
+            continue
+        best = min(best, ref_norm(ref_multiply(series([-1, 1]), f), w) / ref_norm(f, w, s=1))
+    return best
+
+
+def ref_derivative_batch(w, degree, n_samples, seed):
+    lo, hi = math.inf, 0.0
+    for i in range(n_samples):
+        f = ref_series(stream(seed, TAG_SERIES, 3, i), degree)
+        if f.is_zero:
+            continue
+        df = CoefficientSeries(np.arange(1, len(f.coeffs)) * f.coeffs[1:])
+        ratio = ref_norm(f, w) / (abs(complex(f.coeffs[0])) + ref_norm(df, w, s=1))
+        lo, hi = min(lo, ratio), max(hi, ratio)
+    return lo, hi
+
+
+BATCH_WEIGHTS = (
+    WeightSequence.preset("unweighted"),
+    WeightSequence.preset("bergman"),
+    QAS,
+    polynomial_weight(3.0, 512),
+)
+Z_MINUS_1 = series([-1, 1])
+
+
+def close(got, ref, rel=1e-13):
+    return abs(got - ref) <= rel * abs(ref)
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("degree", [1, 32, 64])
+    @pytest.mark.parametrize("w", BATCH_WEIGHTS, ids=lambda w: w.kind)
+    def test_match_the_per_sample_loops(self, w, degree):
+        assert close(check_wa_batch(Z_MINUS_1, w, degree, 40, 7), ref_wa_batch(Z_MINUS_1, w, degree, 40, 7))
+        assert close(check_wc_batch(w, degree, 40, 7), ref_wc_batch(w, degree, 40, 7))
+        for got, ref in zip(derivative_probe_batch(w, degree, 40, 7), ref_derivative_batch(w, degree, 40, 7)):
+            assert close(got, ref)
+
+    def test_draws_equal_the_per_sample_streams(self):
+        F1, F2 = beurling._draw_block(7, 1, 3, 9, 33, 2)
+        for row, i in enumerate(range(3, 9)):
+            rng = stream(7, TAG_SERIES, 1, i)
+            assert np.array_equal(F1[row], ref_series(rng, 32).coeffs)
+            assert np.array_equal(F2[row], ref_series(rng, 32).coeffs)
+
+    def test_general_p_matches(self):
+        p = series([0.5 - 1j, 2, 0, 1j])
+        assert close(check_wa_batch(p, LINEAR, 16, 30, 2), ref_wa_batch(p, LINEAR, 16, 30, 2))
+
+    def test_batch_larger_than_one_block(self, monkeypatch):
+        monkeypatch.setattr(beurling, "_BLOCK_COEFFS", 50 * 9)  # 50 samples of degree 8 per block
+        w = WeightSequence.preset("bergman")
+        assert close(check_wa_batch(Z_MINUS_1, w, 8, 120, 11), ref_wa_batch(Z_MINUS_1, w, 8, 120, 11))
+        assert close(check_wc_batch(w, 8, 120, 11), ref_wc_batch(w, 8, 120, 11))
+        for got, ref in zip(derivative_probe_batch(w, 8, 120, 11), ref_derivative_batch(w, 8, 120, 11)):
+            assert close(got, ref)
+
+    def test_blocks_bound_the_draws(self, monkeypatch):
+        sizes = []
+        draw = beurling._draw_block
+
+        def recording(seed, kind, start, stop, length, count):
+            sizes.append(stop - start)
+            return draw(seed, kind, start, stop, length, count)
+
+        monkeypatch.setattr(beurling, "_draw_block", recording)
+        w = WeightSequence.preset("bergman")
+        assert check_wc_batch(w, 1 << 16, 3, 4) > 0  # one sample per block at this degree
+        assert sizes == [1, 1, 1]
+        sizes.clear()
+        monkeypatch.setattr(beurling, "_BLOCK_COEFFS", 7 * 9 + 8)
+        assert close(check_wc_batch(w, 8, 30, 4), ref_wc_batch(w, 8, 30, 4))
+        assert sizes == [7, 7, 7, 7, 2]
+
+    def test_zero_p_gives_zero(self):
+        short = polynomial_weight(3.0, 4)  # no table is read when every pair is skipped
+        for w in (LINEAR, short):
+            assert check_wa_batch(CoefficientSeries.zero(), w, 8, 10, 1) == 0.0
+
+    def test_zero_samples_are_skipped(self, monkeypatch):
+        draw = beurling._draw_block
+        kept = []
+
+        def zero_all_but_kept(seed, kind, start, stop, length, count):
+            out = draw(seed, kind, start, stop, length, count).copy()
+            out[:, [i - start not in kept for i in range(start, stop)]] = 0
+            return out
+
+        monkeypatch.setattr(beurling, "_draw_block", zero_all_but_kept)
+        assert check_wa_batch(Z_MINUS_1, LINEAR, 8, 6, 1) == 0.0
+        assert check_wc_batch(LINEAR, 8, 6, 1) == math.inf
+        assert derivative_probe_batch(LINEAR, 8, 6, 1) == (math.inf, 0.0)
+        kept.append(4)
+        f = CoefficientSeries(draw(1, 2, 4, 5, 9, 1)[0, 0])
+        with pytest.warns(RuntimeWarning):
+            expected = check_wc(f, LINEAR)
+        assert close(check_wc_batch(LINEAR, 8, 6, 1), expected)
+
+    def test_empty_batch(self):
+        assert check_wa_batch(Z_MINUS_1, LINEAR, 8, 0, 1) == 0.0
+        assert check_wc_batch(LINEAR, 8, 0, 1) == math.inf
+        assert derivative_probe_batch(LINEAR, 8, 0, 1) == (math.inf, 0.0)
+
+    @pytest.mark.parametrize("check, ref, needed", [
+        (lambda w, d: check_wa_batch(Z_MINUS_1, w, d, 5, 1), lambda w, d: ref_wa_batch(Z_MINUS_1, w, d, 5, 1),
+         lambda d: 2 * d + 2),
+        (lambda w, d: check_wc_batch(w, d, 5, 1), lambda w, d: ref_wc_batch(w, d, 5, 1), lambda d: d + 2),
+        (lambda w, d: derivative_probe_batch(w, d, 5, 1), lambda w, d: ref_derivative_batch(w, d, 5, 1),
+         lambda d: d + 1),
+    ], ids=["wa", "wc", "derivative"])
+    def test_explicit_table_must_cover_the_longest_series(self, check, ref, needed):
+        degree = 16
+        enough = polynomial_weight(3.0, needed(degree) - 1)
+        assert np.all(np.isfinite(check(enough, degree)))
+        short = polynomial_weight(3.0, needed(degree) - 2)
+        for run in (check, ref):
+            with pytest.raises(WeightDataError):
+                run(short, degree)
+
+    def test_wc_batch_emits_no_warning(self):
+        with pytest.warns(RuntimeWarning):
+            check_wc(CoefficientSeries.one(), LINEAR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_wc_batch(LINEAR, 16, 20, 3) > 0
+
+    def test_single_series_checks_are_the_kernels_on_one_row(self):
+        rng = stream(5, 99)
+        f1, f2 = ref_series(rng, 12), ref_series(rng, 12)
+        assert close(check_wa(Z_MINUS_1, f1, f2, QAS),
+                     ref_norm(ref_multiply(ref_multiply(Z_MINUS_1, f1), f2), QAS)
+                     / (ref_norm(ref_multiply(Z_MINUS_1, f1), QAS) * ref_norm(ref_multiply(Z_MINUS_1, f2), QAS)))
+        assert close(beurling_norm(f1, QAS, s=1), ref_norm(f1, QAS, s=1))
+        left, right = derivative_equivalence_probe(f1, QAS)
+        assert close(left, ref_norm(f1, QAS))
+        assert close(right, abs(complex(f1.coeffs[0])) + ref_norm(derivative(f1), QAS, s=1))

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftlab.cli import ConfigError, RunConfig, main, parse_complex, run
+from shiftlab.cli import ConfigError, RunConfig, main, parse_complex, parse_complex_list, parse_float_list, run
 
 
 def run_cli(argv, tmp_path, monkeypatch):
@@ -17,6 +19,15 @@ def read_report(tmp_path, prefix):
     return json.loads((tmp_path / f"{prefix}.report.json").read_text(encoding="utf-8"))
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+garbage = st.text(alphabet="xyz?#@!&()", min_size=1, max_size=8)
+
+
+def a_plus_bi(re, im):
+    """re and im in the a+bi syntax, each written as its repr."""
+    return f"{re!r}{'' if repr(im).startswith('-') else '+'}{im!r}i"
+
+
 class TestParsing:
     def test_complex_forms(self):
         assert parse_complex("0.3") == 0.3
@@ -25,6 +36,36 @@ class TestParsing:
         assert parse_complex("−0.4i") == -0.4j  # unicode minus
         with pytest.raises(ConfigError):
             parse_complex("zebra")
+
+    @given(finite, finite)
+    @settings(max_examples=200, deadline=None)
+    def test_complex_round_trip(self, re, im):
+        text = a_plus_bi(re, im)
+        assert parse_complex(text) == complex(re, im)
+        assert parse_complex(text.replace("-", "\u2212")) == complex(re, im)
+
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_complex_list_round_trip(self, pairs):
+        text = ",".join(a_plus_bi(re, im) for re, im in pairs)
+        want = tuple(complex(re, im) for re, im in pairs)
+        assert parse_complex_list(text) == want
+        assert parse_complex_list(text.replace("-", "\u2212")) == want
+
+    @given(st.lists(finite, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_float_list_round_trip(self, values):
+        text = ",".join(repr(v) for v in values)
+        assert parse_float_list(text) == tuple(values)
+        assert parse_float_list(text.replace("-", "\u2212")) == tuple(values)
+
+    @given(finite, garbage)
+    @settings(max_examples=100, deadline=None)
+    def test_garbage_is_config_error(self, value, junk):
+        for text in (junk, repr(value) + junk):
+            for parse in (parse_complex, parse_complex_list, parse_float_list):
+                with pytest.raises(ConfigError):
+                    parse(text)
 
     def test_unknown_flag_is_config_error(self, tmp_path, monkeypatch):
         code = run_cli(["classify", "--bogus", "1"], tmp_path, monkeypatch)

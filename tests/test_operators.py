@@ -286,7 +286,32 @@ class TestKernelDimension:
             assert (N + 1) - rank == 1
 
 
+def loop_continuity_probe(w, k, r, steps, N):
+    """Reference: one full jordan_chain per grid point, keeping its last vector."""
+    grid = r * np.exp(2j * np.pi * np.arange(steps + 1) / steps)
+    prev = jordan_chain(w, grid[0], k, N).vectors[-1]
+    worst = 0.0
+    for lam in grid[1:]:
+        cur = jordan_chain(w, lam, k, N).vectors[-1]
+        worst = max(worst, float(np.linalg.norm(cur - prev)))
+        prev = cur
+    return worst
+
+
 class TestContinuityProbe:
+    @pytest.mark.parametrize("w", PRESETS, ids=lambda w: w.kind)
+    def test_matches_the_chain_loop(self, w):
+        for k in (1, 2, 3):
+            for r, steps, N in ((0.5, 64, 400), (0.3, 1, 50), (0.9, 7, k + 2)):
+                if r >= w.r_point(N):
+                    continue
+                got, ref = chain_continuity_probe(w, k, r, steps, N), loop_continuity_probe(w, k, r, steps, N)
+                assert abs(got - ref) <= 1e-12 * ref, (k, r, steps, N)
+
+    def test_window_too_small_for_the_chain(self):
+        with pytest.raises(ValueError, match="window too small"):
+            chain_continuity_probe(UNW, 3, 0.5, 8, N=4)
+
     def test_unweighted_small_modulus(self):
         mod = chain_continuity_probe(UNW, 1, 0.5, 360, N=200)
         assert mod <= 0.02

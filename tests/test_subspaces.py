@@ -24,6 +24,7 @@ from shiftlab.subspaces import (
     kernel_of_polynomial,
     krylov_span,
     orthonormalize,
+    polynomial_of_window,
     principal_angles,
     projection_distance,
     reconstruct_chain_subspace,
@@ -251,6 +252,32 @@ class TestComplementDefect:
         assert abs(check.defect - expected) <= tol
         if dim_out == rows or dim_in == 0:
             assert res.defect == check.defect == 0.0
+
+
+class TestPolynomialOfWindow:
+    @pytest.mark.parametrize("coeffs", [[], [2.0], [0.3, -1j], [0.12, 0.1, 1.0], [1.0, 0, 0, 0.5 + 0.5j]])
+    def test_matches_the_power_sum(self, coeffs):
+        A = OperatorWindow(complex_gaussian(stream(3, TAG_BASIS, 9), (12, 12)))
+        ref = sum((c * np.linalg.matrix_power(A.matrix, j) for j, c in enumerate(coeffs)), np.zeros((12, 12)))
+        got = polynomial_of_window(A, np.array(coeffs, dtype=complex)).matrix
+        assert np.allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+    def test_degree_d_takes_d_products(self):
+        class Counting(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counting.products += 1
+                return np.asarray(self) @ np.asarray(other)
+
+            def __rmatmul__(self, other):
+                Counting.products += 1
+                return np.asarray(other) @ np.asarray(self)
+
+        A = OperatorWindow(adjoint_window_square(BER, 20).matrix)
+        A.matrix = A.matrix.view(Counting)
+        polynomial_of_window(A, [0.12, 0.1, 1.0])
+        assert Counting.products == 2
 
 
 class TestKernelOfPolynomial:

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,9 @@ class TestClassify:
         assert not omega_s_increasing_tail(UNW, 2, 256)
 
 
+tables = st.lists(st.floats(min_value=1.0, max_value=1e300), min_size=1, max_size=40).map(lambda t: [1.0] + t)
+
+
 class TestExplicitData:
     def test_from_file(self, tmp_path):
         path = tmp_path / "w.txt"
@@ -234,6 +239,28 @@ class TestExplicitData:
         w = WeightSequence.from_file(path)
         assert w.max_index_hint == 2
         assert w.omega_at(2) == pytest.approx(4.0, rel=1e-15)
+
+    @given(tables, st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_line_number_is_n(self, values, trailing):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.txt"
+            path.write_text("\n".join(repr(v) for v in values) + "\n" * trailing, encoding="utf-8")
+            w = WeightSequence.from_file(path)
+        assert w.max_index_hint == len(values) - 1
+        assert np.array_equal(w.explicit_values, np.array(values))
+
+    @given(tables, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_blank_line_before_the_last_value_is_named(self, values, data):
+        line = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+        lines = [repr(v) for v in values]
+        lines.insert(line, "  ")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(WeightDataError, match=f"line {line} is blank"):
+                WeightSequence.from_file(path)
 
     def test_omega_below_one_rejected(self):
         with pytest.raises(ValueError):
