@@ -116,7 +116,17 @@ class RunConfig:
             values = value if isinstance(value, (tuple, list)) else [value]
             if not all(v is None or cmath.isfinite(v) for v in values):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ConfigError(f"rank_tol must lie in (0, 1), got {self.rank_tol!r}")
+        if not self.invariance_tol > 0.0:
+            raise ConfigError(f"invariance_tol must be positive, got {self.invariance_tol!r}")
         return self
+
+
+def _check_window_fits(N: int, zero_count: int) -> None:
+    """vanishing_subspace needs a window larger than its zero set."""
+    if N <= zero_count:
+        raise ConfigError(f"N must exceed the number of zeros ({zero_count}), got N={N}")
 
 
 def load_weight(spec: str) -> wt.WeightSequence:
@@ -216,6 +226,7 @@ def _run_stability(config: RunConfig) -> ExperimentReport:
 def _run_semicont(config: RunConfig) -> ExperimentReport:
     w = load_weight(config.weight)
     zeros = config.zeros if config.zeros is not None else tuple(config.p_roots)
+    _check_window_fits(config.N, len(zeros))
     T = shift_window(w, config.N)
     M_in = vanishing_subspace(zeros, config.N)
     M_out = vanishing_subspace(zeros, config.N + 1)
@@ -233,6 +244,7 @@ def _run_beurling_index(config: RunConfig) -> ExperimentReport:
         sets = [list(config.zeros)]
     else:
         sets = st.random_zero_sets(config.n_sets, config.seed, min_separation=config.min_sep)
+    _check_window_fits(config.N, max(len(zs) for zs in sets))
     rep = st.beurling_index_sweep(sets, config.N, rank_tol=config.rank_tol)
     rep.inputs = _echo_config(config)
     return rep

@@ -29,10 +29,22 @@ _TAIL_BLOCK = 1 << 16  # most tail terms, or runs of terms, evaluated per bound
 
 @dataclass
 class OperatorWindow:
-    """A rows x cols complex matrix acting from C^cols to C^rows."""
+    """A rows x cols complex matrix acting from C^cols to C^rows.
+
+    `support`, when given, is a pair (rows, cols) of index arrays whose
+    positions hold every nonzero entry of the matrix, at most one per row
+    and one per column: the shape of a weighted shift, its adjoint, and
+    their weight-jittered copies. None means unknown, and every consumer
+    then treats the matrix as dense. The builders in this module and
+    stability.perturb set it; a window given a support keeps a read-only
+    view of its matrix, so the two cannot drift apart through the window.
+    Only distinctness and range are checked (O(N)); that the support holds
+    every nonzero is the caller's promise.
+    """
 
     matrix: np.ndarray
     tag: str = "custom"
+    support: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.tag not in WINDOW_TAGS:
@@ -40,6 +52,21 @@ class OperatorWindow:
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         if self.matrix.ndim != 2:
             raise ValueError("window matrix must be 2-dimensional")
+        if self.support is not None:
+            rows, cols = (np.asarray(a, dtype=np.intp) for a in self.support)
+            if rows.ndim != 1 or rows.shape != cols.shape:
+                raise ValueError("support must be two index arrays of equal length")
+            for idx, size, name in ((rows, self.rows, "row"), (cols, self.cols, "column")):
+                if len(idx) and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1):
+                    raise ValueError(f"support {name} indices must be distinct and in [0, {size})")
+            self.support = (rows, cols)
+            self.matrix = self.matrix.view()
+            self.matrix.flags.writeable = False
+
+    @property
+    def covers_columns(self) -> bool:
+        """True when the support has one position in every column."""
+        return self.support is not None and len(self.support[1]) == self.cols
 
     @property
     def rows(self) -> int:
@@ -80,33 +107,44 @@ def _read_complex_rows(path) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _diagonal_support(alpha: np.ndarray, row_offset: int, col_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (k + row_offset, k + col_offset) of the nonzero alpha_k, in row order."""
+    k = np.flatnonzero(alpha)
+    return k + row_offset, k + col_offset
+
+
 def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     """(N+1) x N window of the shift: column n carries alpha_n at row n+1."""
     if N < 1:
         raise ValueError("shift window needs N >= 1")
     M = np.zeros((N + 1, N), dtype=np.complex128)
     k = np.arange(N)
-    M[k + 1, k] = w.alpha_array(N)
-    return OperatorWindow(M, tag="shift")
+    alpha = w.alpha_array(N)
+    M[k + 1, k] = alpha
+    return OperatorWindow(M, tag="shift", support=_diagonal_support(alpha, 1, 0))
 
 
 def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
     """N x (N+1) window of the adjoint: the transpose of shift_window (real weights)."""
-    return OperatorWindow(shift_window(w, N).matrix.T.copy(), tag="adjoint")
+    T = shift_window(w, N)
+    rows, cols = T.support
+    return OperatorWindow(T.matrix.T.copy(), tag="adjoint", support=(cols, rows))
 
 
 def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
     """N x N truncation of the adjoint (superdiagonal alpha_0 .. alpha_{N-2}).
 
     Exact on every row but the last; suitable for Horner evaluation of
-    polynomials and for dense perturbation experiments.
+    polynomials and for dense perturbation experiments. Column 0 is empty,
+    so the support never covers every column.
     """
     if N < 2:
         raise ValueError("square adjoint window needs N >= 2")
     M = np.zeros((N, N), dtype=np.complex128)
     k = np.arange(N - 1)
-    M[k, k + 1] = w.alpha_array(N - 1)
-    return OperatorWindow(M, tag="adjoint")
+    alpha = w.alpha_array(N - 1)
+    M[k, k + 1] = alpha
+    return OperatorWindow(M, tag="adjoint", support=_diagonal_support(alpha, 0, 1))
 
 
 def apply_adjoint(w: WeightSequence, vec: np.ndarray) -> np.ndarray:

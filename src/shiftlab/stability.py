@@ -105,6 +105,9 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
 
     stream_tags select the random substream (trial and step indices);
     the same (plan.seed, stream_tags) always yields the same direction.
+    The structured kinds take the nonzero positions from T.support and
+    scan the matrix only when T has none; a weight-jittered S carries the
+    support of T.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -116,16 +119,16 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
         S = M + epsilon * G
         delta = float(np.linalg.norm(S - M, 2))
         return Perturbation(OperatorWindow(S, tag="perturbed"), delta)
-    rows, cols = _structured_positions(T)
+    rows, cols = T.support if T.support is not None else _structured_positions(T)
     if plan.kind == "weight_jitter":
         if len(rows) == 0:
-            return Perturbation(OperatorWindow(M, tag="perturbed"), 0.0)
+            return Perturbation(OperatorWindow(M, tag="perturbed", support=(rows, cols)), 0.0)
         rng = stream(plan.seed, TAG_JITTER, *stream_tags)
         norm_T = float(np.max(np.abs(M[rows, cols])))
         delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(rows))
         M[rows, cols] *= 1.0 + delta_n
         delta = float(np.max(np.abs(M[rows, cols] - T.matrix[rows, cols])))
-        return Perturbation(OperatorWindow(M, tag="perturbed"), delta)
+        return Perturbation(OperatorWindow(M, tag="perturbed", support=(rows, cols)), delta)
     # compact_zeroing kills weights alpha_n for n in the zero set; the weight
     # index of a shift or adjoint entry is min(row, col)
     n_index = np.minimum(rows, cols)
@@ -214,11 +217,16 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     a (trial, step) pair is asserted only once its invariance defect falls
     at or below invariance_tol, which the report makes visible. Trials
     where no step reaches the assertion threshold, or where the transported
-    basis degenerates, are counted as skipped.
+    basis degenerates, are counted as skipped. When T's support covers
+    every column, T* T is diagonal and sigma_min(T) is the smallest
+    |entry| on the support; otherwise it comes from a dense SVD.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    s_min = float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
+    if T.covers_columns:
+        s_min = float(np.min(np.abs(T.matrix[T.support])))
+    else:
+        s_min = float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
     if s_min < min_sigma:
         raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {min_sigma}")
     base = rel_index(T, M_in, M_out, tol=rank_tol)

@@ -3,7 +3,9 @@
 All rank decisions are relative: a singular value counts as nonzero when
 it exceeds tol times the largest one, and every index result carries the
 gap between the last kept and first dropped singular value so callers can
-assert the decision was well conditioned.
+assert the decision was well conditioned. A window with a weighted-shift
+support can certify full rank without an SVD (see rel_index); its gap is
+then computed only when read.
 
 Widening a subspace from a window of dimension N to one of dimension N + k
 appends the k new top coordinates to the padded span; narrowing truncates
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,13 +86,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    def smallest_normalized_singular_value(self) -> float:
-        norms = np.linalg.norm(self.matrix, axis=0)
-        if np.any(norms == 0):
-            return 0.0
-        s = np.linalg.svd(self.matrix / norms, compute_uv=False)
-        return float(s[-1]) if len(s) else 0.0
 
     def to_csv(self, path) -> None:
         """Column vectors as CSV rows of quoted "re,im" cells."""
@@ -257,7 +253,7 @@ def is_invariant(T: OperatorWindow, P: Projection | SubspaceBasis, tol: float = 
         out = codomain.range_basis() if isinstance(codomain, Projection) else orthonormalize(codomain)
     if out.ambient_dim != T.rows:
         raise ValueError(f"codomain subspace lives in C^{out.ambient_dim}, window maps to C^{T.rows}")
-    defect = _invariance_defect(T.matrix @ Q, out)
+    defect = _invariance_defect(_window_image(T, Q), out)
     return InvarianceCheck(invariant=defect <= tol, defect=defect, tol=tol)
 
 
@@ -283,14 +279,70 @@ class IndexResult:
 
     gap is the ratio between the smallest kept singular value and the
     largest dropped one (or the decision threshold when nothing was
-    dropped); a clean decision has a large gap.
+    dropped); a clean decision has a large gap. It is computed when first
+    read, from the singular values of the image T Q_in kept on the result.
+    When rel_index certified the rank without an SVD, that read runs the
+    SVD and raises AssertionError unless it keeps the certified rank.
+    Equality compares index, rank, dim_out and defect.
     """
 
     index: int
     rank: int
     dim_out: int
     defect: float
-    gap: float
+    _image: np.ndarray = field(repr=False, compare=False)
+    _tol: float = field(repr=False, compare=False)
+    _sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def gap(self) -> float:
+        if self.rank == 0:
+            return math.inf
+        s = self._sigma if self._sigma is not None else np.linalg.svd(self._image, compute_uv=False)
+        rank, cutoff = _numerical_rank(s, self._tol)
+        if rank != self.rank:
+            raise AssertionError(f"certified rank {self.rank}, but the SVD keeps {rank}")
+        if rank < len(s) and s[rank] > 0:
+            return float(s[rank - 1] / s[rank])
+        return float(s[rank - 1] / cutoff) if cutoff > 0 else math.inf
+
+
+def _numerical_rank(s: np.ndarray, tol: float) -> tuple[int, float]:
+    """Number of singular values above tol * s[0], and that cutoff."""
+    cutoff = tol * s[0] if s[0] > 0 else 0.0
+    return int(np.sum(s > cutoff)), cutoff
+
+
+def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
+    """T Q, as a row gather when T has a support.
+
+    For real entries (every shift, adjoint and jittered window) the gather
+    is bitwise equal to the BLAS product up to the signs of zeros; complex
+    entries can differ from it in the last bit.
+    """
+    if T.support is None:
+        return T.matrix @ Q
+    rows, cols = T.support
+    img = np.zeros((T.rows, Q.shape[1]), dtype=np.complex128)
+    img[rows] = T.matrix[rows, cols][:, None] * Q[cols]
+    return img
+
+
+def _certified_full_rank(T: OperatorWindow, tol: float) -> bool:
+    """Whether every singular value of T Q, Q orthonormal, passes the rank rule.
+
+    With a support covering every column, T* T = diag(|s_j|^2), so each
+    sigma_i(T Q) lies in [min |s_j|, max |s_j|] (Courant-Fischer; Golub &
+    Van Loan, Matrix Computations, 2.4 and 8.6). Requiring
+    min |s_j| > 2 max(tol, n eps) max |s_j|, n = max(rows, cols), keeps the
+    rule s_i > tol s_0 true for the computed singular values too, whose
+    rounding error is of order n eps max |s_j|.
+    """
+    if not T.covers_columns:
+        return False
+    mags = np.abs(T.matrix[T.support])
+    margin = 2.0 * max(tol, max(T.rows, T.cols) * np.finfo(float).eps)
+    return bool(mags.min() > margin * mags.max())
 
 
 def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
@@ -304,29 +356,33 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     matrix. The orthonormal bases and the complement are cached on M_in
     and M_out, so calls that reuse the same basis objects (as perturbation
     sweeps do) pay for their QRs once.
+
+    When T carries a support, T Q_in is a row gather rather than a dense
+    product. When that support covers every column and its entries pass
+    min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_full_rank), the
+    rank is dim_in without an SVD; the SVD then runs only if the result's
+    gap is read. Any other window takes the SVD here: a zero or tiny
+    weight (below a tiny tol, the n eps floor of the margin decides), an
+    empty column, or no support.
     """
     if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
         raise ValueError("subspace dimensions do not match the window")
     inv_tol = tol if invariance_tol is None else invariance_tol
     Q_in = orthonormalize(M_in).matrix
     out = orthonormalize(M_out)
-    img = T.matrix @ Q_in
+    img = _window_image(T, Q_in)
     defect = _invariance_defect(img, out)
     if defect > inv_tol:
         raise InvarianceError(defect, inv_tol)
     dim_out = out.dim
     if Q_in.shape[1] == 0:
-        return IndexResult(index=dim_out, rank=0, dim_out=dim_out, defect=defect, gap=math.inf)
+        return IndexResult(dim_out, 0, dim_out, defect, img, tol)
+    if _certified_full_rank(T, tol):
+        rank = Q_in.shape[1]
+        return IndexResult(dim_out - rank, rank, dim_out, defect, img, tol)
     s = np.linalg.svd(img, compute_uv=False)
-    cutoff = tol * s[0] if s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
-    if rank == 0:
-        gap = math.inf
-    elif rank < len(s) and s[rank] > 0:
-        gap = float(s[rank - 1] / s[rank])
-    else:
-        gap = float(s[rank - 1] / cutoff) if cutoff > 0 else math.inf
-    return IndexResult(index=dim_out - rank, rank=rank, dim_out=dim_out, defect=defect, gap=gap)
+    rank = _numerical_rank(s, tol)[0]
+    return IndexResult(dim_out - rank, rank, dim_out, defect, img, tol, s)
 
 
 def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:

@@ -230,6 +230,45 @@ class TestCommands:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "nf.report.json").exists()
 
+    @pytest.mark.parametrize("argv, count", [
+        (["semicont", "--N", "2"], 2),
+        (["semicont", "--zeros", "0.1,0.2,0.3", "--N", "3"], 3),
+        (["beurling-index", "--N", "1"], 5),
+        (["beurling-index", "--zeros", "0.1,-0.2", "--N", "2"], 2),
+    ])
+    def test_window_smaller_than_the_zero_set_names_N(self, tmp_path, monkeypatch, capsys, argv, count):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a subspace was built before the check")
+
+        monkeypatch.setattr("shiftlab.cli.vanishing_subspace", unreachable)
+        monkeypatch.setattr("shiftlab.stability.vanishing_subspace", unreachable)
+        code = run_cli(argv + ["--output", "small"], tmp_path, monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: N must exceed the number of zeros" in err and f"({count})" in err
+        assert not (tmp_path / "small.report.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["semicont", "--rank-tol", "0"], "rank_tol must lie in (0, 1)"),
+        (["semicont", "--rank-tol", "1"], "rank_tol must lie in (0, 1)"),
+        (["beurling-index", "--rank-tol=-1e-8"], "rank_tol must lie in (0, 1)"),
+        (["stability", "--rank-tol", "2.5"], "rank_tol must lie in (0, 1)"),
+        (["semicont", "--invariance-tol", "0"], "invariance_tol must be positive"),
+        (["semicont", "--invariance-tol=-1e-3"], "invariance_tol must be positive"),
+    ])
+    def test_meaningless_tolerance_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
+        code = run_cli(argv + ["--output", "tol"], tmp_path, monkeypatch)
+        assert code == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "tol.report.json").exists()
+
+    def test_tolerance_check_in_resolved(self):
+        with pytest.raises(ConfigError, match="rank_tol"):
+            RunConfig(command="radii", rank_tol=0.0).resolved()
+        with pytest.raises(ConfigError, match="invariance_tol"):
+            RunConfig(command="semicont", invariance_tol=0.0).resolved()
+        assert RunConfig(command="semicont", rank_tol=0.5, invariance_tol=1e-300).resolved().rank_tol == 0.5
+
     def test_run_callable_directly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(RunConfig(command="radii", weight="unweighted", N=128, output="direct"))

@@ -56,6 +56,53 @@ class TestWindows:
         assert np.allclose(back.matrix, win.matrix)
 
 
+BUILDERS = (
+    lambda w, N: shift_window(w, N),
+    lambda w, N: adjoint_window(w, N),
+    lambda w, N: adjoint_window_square(w, N),
+)
+
+
+class TestSupport:
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("w", PRESETS)
+    @pytest.mark.parametrize("N", [2, 7, 64])
+    def test_support_holds_every_nonzero_in_scan_order(self, build, w, N):
+        win = build(w, N)
+        rows, cols = win.support
+        on_support = np.zeros(win.matrix.shape, dtype=bool)
+        on_support[rows, cols] = True
+        assert not np.any(win.matrix[~on_support])
+        # the order np.nonzero gives, so perturbations draw the same jitter for each entry
+        assert [r.tolist() for r in np.nonzero(win.matrix)] == [rows.tolist(), cols.tolist()]
+
+    def test_only_the_shift_covers_every_column(self):
+        assert shift_window(BER, 9).covers_columns
+        assert not adjoint_window(BER, 9).covers_columns
+        assert not adjoint_window_square(BER, 9).covers_columns
+        assert not OperatorWindow(shift_window(BER, 9).matrix).covers_columns
+
+    def test_matrix_read_only_with_a_support(self):
+        win = shift_window(UNW, 4)
+        with pytest.raises(ValueError):
+            win.matrix[1, 0] = 2.0
+        source = np.eye(3, dtype=complex)
+        OperatorWindow(source, support=(np.arange(3), np.arange(3)))
+        source[0, 0] = 2.0  # the caller's array stays writable
+        assert OperatorWindow(source).matrix.flags.writeable
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 0], [0, 1]),      # two positions in one row
+        ([0, 1], [2, 2]),      # two positions in one column
+        ([0, 3], [0, 1]),      # row out of range
+        ([0, 1], [-1, 1]),     # negative column
+        ([0, 1], [0]),         # unequal lengths
+    ])
+    def test_support_validated(self, rows, cols):
+        with pytest.raises(ValueError, match="support"):
+            OperatorWindow(np.zeros((3, 3), dtype=complex), support=(rows, cols))
+
+
 class TestEigenvector:
     def test_lambda_zero_gives_e0(self):
         for w in PRESETS:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from shiftlab import stability
 from shiftlab.operators import OperatorWindow, adjoint_window_square, shift_window
 from shiftlab.stability import (
+    Perturbation,
     PerturbationPlan,
     beurling_index_sweep,
     norm_stability_run,
@@ -218,6 +220,67 @@ class TestSemicontinuity:
         rep1 = semicontinuity_run(T, M_in, M_out, plan, 8)
         rep2 = semicontinuity_run(T, M_in, M_out, plan, 8)
         assert rep1.to_json_bytes() == rep2.to_json_bytes()
+
+
+class TestSupportPath:
+    """Windows with a known support against the same matrices without one (dense path)."""
+
+    @pytest.mark.parametrize("kind, zero_set, eps", [
+        ("weight_jitter", None, 1e-3),
+        ("compact_zeroing", (3, 9, 20), 1.0),
+    ])
+    def test_perturb_uses_the_support_and_matches_the_scan(self, kind, zero_set, eps):
+        T = shift_window(BER, 40)
+        plan = PerturbationPlan(kind=kind, epsilon_schedule=(eps,), seed=6, zero_set=zero_set)
+        known = perturb(T, plan, eps, stream_tags=(2, 1))
+        scanned = perturb(OperatorWindow(T.matrix), plan, eps, stream_tags=(2, 1))
+        assert np.array_equal(known.window.matrix, scanned.window.matrix)
+        assert known.delta_norm == scanned.delta_norm
+        if kind == "weight_jitter":
+            assert all(np.array_equal(a, b) for a, b in zip(known.window.support, T.support))
+
+    @pytest.mark.parametrize("zeros, N", [([0.3, -0.4], 48), ([0.5j, -0.2 + 0.1j, 0.6], 40)])
+    def test_semicontinuity_identical_on_both_paths(self, zeros, N, monkeypatch):
+        T = shift_window(UNW, N)
+        M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=tuple(2.0 ** -n for n in range(1, 11)),
+                                seed=13)
+        known = semicontinuity_run(T, M_in, M_out, plan, 6)
+
+        def dense_perturb(*args, **kwargs):
+            pert = perturb(*args, **kwargs)
+            return Perturbation(OperatorWindow(pert.window.matrix, tag="perturbed"), pert.delta_norm)
+
+        monkeypatch.setattr(stability, "perturb", dense_perturb)
+        dense = semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 6)
+        assert known.per_step == dense.per_step
+        assert known.metrics == dense.metrics
+        assert known.to_json_bytes() == dense.to_json_bytes()
+        assert sum(step["n_asserted"] for step in known.per_step) > 0
+
+    def test_certified_run_makes_no_rank_or_sigma_min_svd(self, monkeypatch):
+        N = 32
+        T = shift_window(UNW, N)
+        M_in, M_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3, 1e-4), seed=1)
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        semicontinuity_run(T, M_in, M_out, plan, 3)
+        assert calls == []
+        # a dense T costs sigma_min and the base index; the jittered windows carry the scanned support
+        semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 3)
+        assert len(calls) == 2
+
+    def test_closed_form_sigma_min_rejects_like_the_svd(self):
+        N = 24
+        M = shift_window(UNW, N).matrix.copy()
+        M[6, 5] = 0.05
+        basis_in, basis_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)
+        for T in (OperatorWindow(M, support=shift_window(UNW, N).support), OperatorWindow(M)):
+            with pytest.raises(ValueError, match="sigma_min=5.000e-02 < 0.1"):
+                semicontinuity_run(T, basis_in, basis_out, plan, 2)
 
 
 class TestBeurlingIndexSweep:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.operators import (
     OperatorWindow,
@@ -15,6 +17,7 @@ from shiftlab.report import fit_loglog_slope
 from shiftlab.seeding import TAG_BASIS, complex_gaussian, stream
 from shiftlab.stability import PerturbationPlan, perturb
 from shiftlab.subspaces import (
+    IndexResult,
     InvarianceError,
     RankDeficiencyError,
     SubspaceBasis,
@@ -28,6 +31,7 @@ from shiftlab.subspaces import (
     principal_angles,
     projection_distance,
     reconstruct_chain_subspace,
+    _invariance_defect,
     rel_index,
     vanishing_subspace,
 )
@@ -252,6 +256,174 @@ class TestComplementDefect:
         assert abs(check.defect - expected) <= tol
         if dim_out == rows or dim_in == 0:
             assert res.defect == check.defect == 0.0
+
+
+def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=None):
+    """Reference: the dense rel_index body (product T Q_in and a rank SVD on every call).
+
+    Returns (index, rank, dim_out, defect, gap).
+    """
+    if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
+        raise ValueError("subspace dimensions do not match the window")
+    inv_tol = tol if invariance_tol is None else invariance_tol
+    Q_in = orthonormalize(M_in).matrix
+    out = orthonormalize(M_out)
+    img = T.matrix @ Q_in
+    defect = _invariance_defect(img, out)
+    if defect > inv_tol:
+        raise InvarianceError(defect, inv_tol)
+    dim_out = out.dim
+    if Q_in.shape[1] == 0:
+        return dim_out, 0, dim_out, defect, math.inf
+    s = np.linalg.svd(img, compute_uv=False)
+    cutoff = tol * s[0] if s[0] > 0 else 0.0
+    rank = int(np.sum(s > cutoff))
+    if rank == 0:
+        gap = math.inf
+    elif rank < len(s) and s[rank] > 0:
+        gap = float(s[rank - 1] / s[rank])
+    else:
+        gap = float(s[rank - 1] / cutoff) if cutoff > 0 else math.inf
+    return dim_out - rank, rank, dim_out, defect, gap
+
+
+def as_tuple(res):
+    return res.index, res.rank, res.dim_out, res.defect, res.gap
+
+
+class CountingSvd:
+    """Counts np.linalg.svd calls made through the module attribute (rank SVDs, not norms)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+@st.composite
+def shift_like_windows(draw):
+    """A window with one real nonzero per column (some zero or tiny), its support, and bases."""
+    cols = draw(st.integers(1, 14))
+    rows = cols + draw(st.integers(0, 3))
+    targets = np.array(draw(st.permutations(range(rows)))[:cols])
+    mags = draw(st.lists(st.sampled_from([0.0, 1e-13]) | st.floats(1e-3, 10.0),
+                         min_size=cols, max_size=cols))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=cols, max_size=cols))
+    M = np.zeros((rows, cols), dtype=np.complex128)
+    M[targets, np.arange(cols)] = np.array(mags) * np.array(signs)
+    # the support may also list zero entries, as a weight jittered by a factor 0 leaves
+    nz = np.arange(cols) if draw(st.booleans()) else np.flatnonzero(M[targets, np.arange(cols)])
+    T = OperatorWindow(M, support=(targets[nz], nz))
+    rng = stream(draw(st.integers(0, 2**16)), TAG_BASIS)
+    M_in = SubspaceBasis(complex_gaussian(rng, (cols, draw(st.integers(0, cols)))))
+    M_out = SubspaceBasis(complex_gaussian(rng, (rows, draw(st.integers(0, rows)))))
+    return T, M_in, M_out
+
+
+class TestSupportPath:
+    @settings(max_examples=150)
+    @given(shift_like_windows(), st.sampled_from([1e-8, 1e-15, 1e-3, 0.5]))
+    def test_matches_the_dense_reference(self, case, tol):
+        T, M_in, M_out = case
+        expected = dense_rel_index(OperatorWindow(T.matrix), M_in, M_out, tol=tol, invariance_tol=math.inf)
+        got = as_tuple(rel_index(T, M_in, M_out, tol=tol, invariance_tol=math.inf))
+        assert got == expected
+
+    def test_complex_entries_match_within_rounding(self):
+        rng = stream(5, TAG_BASIS)
+        N = 30
+        M = np.zeros((N + 1, N), dtype=np.complex128)
+        k = np.arange(N)
+        M[k + 1, k] = complex_gaussian(rng, (N,))
+        T = OperatorWindow(M, support=(k + 1, k))
+        M_in = SubspaceBasis(complex_gaussian(rng, (N, 12)))
+        M_out = SubspaceBasis(complex_gaussian(rng, (N + 1, 20)))
+        expected = dense_rel_index(OperatorWindow(M), M_in, M_out, invariance_tol=math.inf)
+        got = as_tuple(rel_index(T, M_in, M_out, invariance_tol=math.inf))
+        assert got[:3] == expected[:3]
+        assert got[3:] == pytest.approx(expected[3:], rel=1e-12)
+
+    def test_certified_rank_runs_no_svd_until_the_gap_is_read(self, monkeypatch):
+        N, zeros = 64, [0.3, -0.4]
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=2)
+        S = perturb(shift_window(UNW, N), plan, 1e-3).window
+        M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
+        expected = dense_rel_index(OperatorWindow(S.matrix), M_in, M_out, invariance_tol=1e-2)
+        svd = CountingSvd(monkeypatch)
+        res = rel_index(S, M_in, M_out, invariance_tol=1e-2)
+        assert svd.calls == 0 and "gap" not in vars(res)
+        assert as_tuple(res) == expected
+        assert svd.calls == 1
+        res.gap
+        assert svd.calls == 1
+
+    def fallback(self, monkeypatch, T, M_in, M_out, tol=1e-8):
+        expected = dense_rel_index(OperatorWindow(T.matrix), M_in, M_out, tol=tol, invariance_tol=math.inf)
+        svd = CountingSvd(monkeypatch)
+        res = rel_index(T, M_in, M_out, tol=tol, invariance_tol=math.inf)
+        assert svd.calls == 1
+        assert as_tuple(res) == expected
+        return res
+
+    def test_zero_jitter_factor_falls_back(self, monkeypatch):
+        N = 40
+        T = shift_window(UNW, N)
+        M = T.matrix.copy()
+        M[11, 10] = 0.0  # the weight alpha_10 jittered by a factor 0
+        S = OperatorWindow(M, tag="perturbed", support=T.support)
+        M_in = SubspaceBasis(np.eye(N, dtype=complex), orthonormal=True)
+        M_out = SubspaceBasis(np.eye(N + 1, dtype=complex), orthonormal=True)
+        assert self.fallback(monkeypatch, S, M_in, M_out).rank == N - 1
+
+    def test_tiny_tol_falls_back_at_the_rounding_floor(self, monkeypatch):
+        # margin 2 max(tol, n eps): with tol = 1e-15 the n eps floor decides
+        N = 40
+        M_in = SubspaceBasis(np.eye(N, dtype=complex), orthonormal=True)
+        M_out = SubspaceBasis(np.eye(N + 1, dtype=complex), orthonormal=True)
+        for small, certified in ((1e-14, False), (1e-11, True)):
+            T = shift_window(UNW, N)
+            M = T.matrix.copy()
+            M[6, 5] = small
+            S = OperatorWindow(M, support=T.support)
+            if certified:
+                svd = CountingSvd(monkeypatch)
+                res = rel_index(S, M_in, M_out, tol=1e-15)
+                assert svd.calls == 0 and res.rank == N
+                assert as_tuple(res) == dense_rel_index(OperatorWindow(M), M_in, M_out, tol=1e-15)
+            else:
+                assert self.fallback(monkeypatch, S, M_in, M_out, tol=1e-15).rank == N
+
+    def test_empty_column_falls_back(self, monkeypatch):
+        N = 20
+        A = adjoint_window_square(BER, N)
+        assert A.support is not None and not A.covers_columns
+        M_in = SubspaceBasis(complex_gaussian(stream(8, TAG_BASIS), (N, 6)))
+        M_out = SubspaceBasis(np.eye(N, dtype=complex), orthonormal=True)
+        assert self.fallback(monkeypatch, A, M_in, M_out).rank == 6
+
+    def test_dense_window_falls_back(self, monkeypatch):
+        N = 32
+        T = OperatorWindow(shift_window(UNW, N).matrix)
+        assert T.support is None
+        self.fallback(monkeypatch, T, vanishing_subspace([0.5], N), vanishing_subspace([0.5], N + 1))
+
+    def test_gap_read_checks_the_certified_rank(self):
+        res = IndexResult(0, 3, 3, 0.0, np.zeros((4, 3), dtype=complex), 1e-8)
+        with pytest.raises(AssertionError, match="certified rank 3"):
+            res.gap
+
+    def test_is_invariant_uses_the_gather(self):
+        N = 24
+        T = shift_window(BER, N)
+        M_in = vanishing_subspace([0.1], N)
+        M_out = vanishing_subspace([0.1], N + 1)
+        dense = is_invariant(OperatorWindow(T.matrix), M_in, codomain=M_out)
+        assert is_invariant(T, M_in, codomain=M_out) == dense
 
 
 class TestPolynomialOfWindow:
