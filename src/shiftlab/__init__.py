@@ -43,13 +43,10 @@ from .subspaces import (
     RankDeficiencyError,
     ReconstructionResult,
     SubspaceBasis,
-    embed_basis,
     gram_schmidt_projection,
-    is_invariant,
     kernel_of_polynomial,
     krylov_span,
     orthonormalize,
-    principal_angles,
     projection_distance,
     reconstruct_chain_subspace,
     rel_index,
@@ -59,10 +56,7 @@ from .weights import (
     ClassificationReport,
     RadiusEstimates,
     WeightSequence,
-    alpha_at,
     classify,
-    omega_at,
-    pi_product,
     polynomial_weight,
     radius_estimates,
 )

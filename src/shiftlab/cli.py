@@ -7,7 +7,8 @@ verdict, 2 when a verdict fails, 1 for configuration or runtime errors.
 
 Complex scalars on the command line use the a+bi syntax with no spaces,
 e.g. 0.3, -0.4i, 0.5+0.2i; there and in float lists ASCII or U+2212
-minus are both accepted.
+minus are both accepted, and a value may begin with a minus sign
+(--zeros -0.5,0.3i). Every option's default lives in RunConfig.
 The environment variable SHIFTLAB_SEED overrides any configured seed.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -322,6 +324,13 @@ def run(config: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain negative decimals (-2, -0.5) as values, so
+        # -1e-1, -0.4i or -0.5,0.3i would be taken for options; no option here
+        # begins with "-" and a digit, so any such word is a value.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -330,32 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftlab", description="Weighted-shift numerical laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--weight", default="unweighted", help="preset name or weight file path")
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--output", default="shiftlab-run", help="output path prefix")
-        p.add_argument("--rank-tol", type=float, default=1e-8, dest="rank_tol")
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--weight", help="preset name or weight file path")
+        p.add_argument("--N", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--output", help="output path prefix")
+        p.add_argument("--rank-tol", type=float, dest="rank_tol")
         if name == "radii":
-            p.add_argument("--window-len", type=int, default=None, dest="window_len")
+            p.add_argument("--window-len", type=int, dest="window_len")
         if name == "chain":
-            p.add_argument("--lambda", dest="lam", type=parse_complex, default=0.5 + 0j)
-            p.add_argument("--m", type=int, default=2)
+            p.add_argument("--lambda", dest="lam", type=parse_complex)
+            p.add_argument("--m", type=int)
         if name in ("stability", "semicont"):
-            p.add_argument("--p-roots", dest="p_roots", type=parse_complex_list, default=(0.3 + 0j, -0.4 + 0j))
-            p.add_argument("--eps", type=parse_float_list, default=None)
+            p.add_argument("--p-roots", dest="p_roots", type=parse_complex_list)
+            p.add_argument("--eps", type=parse_float_list)
         if name == "semicont":
-            p.add_argument("--trials", type=int, default=200)
-            p.add_argument("--zeros", type=parse_complex_list, default=None)
-            p.add_argument("--invariance-tol", type=float, default=1e-3, dest="invariance_tol")
+            p.add_argument("--trials", type=int)
+            p.add_argument("--zeros", type=parse_complex_list)
+            p.add_argument("--invariance-tol", type=float, dest="invariance_tol")
         if name == "beurling-index":
-            p.add_argument("--zeros", type=parse_complex_list, default=None)
-            p.add_argument("--sets", type=int, default=50, dest="n_sets")
-            p.add_argument("--min-sep", type=float, default=1e-2, dest="min_sep")
+            p.add_argument("--zeros", type=parse_complex_list)
+            p.add_argument("--sets", type=int, dest="n_sets")
+            p.add_argument("--min-sep", type=float, dest="min_sep")
         if name == "beurling-check":
-            p.add_argument("--degree", type=int, default=32)
-            p.add_argument("--batch", type=int, default=200)
-            p.add_argument("--trend-tol", type=float, default=0.05, dest="trend_tol")
+            p.add_argument("--degree", type=int)
+            p.add_argument("--batch", type=int)
+            p.add_argument("--trend-tol", type=float, dest="trend_tol")
     return parser
 
 

@@ -22,12 +22,10 @@ import numpy as np
 
 from .weights import WeightSequence
 
-WINDOW_TAGS = ("shift", "adjoint", "polynomial_in_adjoint", "perturbed", "custom")
-
 _TAIL_BLOCK = 1 << 16  # most tail terms, or runs of terms, evaluated per bound
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorWindow:
     """A rows x cols complex matrix acting from C^cols to C^rows.
 
@@ -39,16 +37,13 @@ class OperatorWindow:
     stability.perturb set it; a window given a support keeps a read-only
     view of its matrix, so the two cannot drift apart through the window.
     Only distinctness and range are checked (O(N)); that the support holds
-    every nonzero is the caller's promise.
+    every nonzero is the caller's promise. Windows compare by identity.
     """
 
     matrix: np.ndarray
-    tag: str = "custom"
     support: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.tag not in WINDOW_TAGS:
-            raise ValueError(f"unknown window tag {self.tag!r}")
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         if self.matrix.ndim != 2:
             raise ValueError("window matrix must be 2-dimensional")
@@ -80,16 +75,13 @@ class OperatorWindow:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
     def to_csv(self, path) -> None:
         """Row-major CSV with quoted "re,im" cells."""
         _write_complex_rows(path, self.matrix)
 
     @classmethod
-    def from_csv(cls, path, tag: str = "custom") -> "OperatorWindow":
-        return cls(matrix=_read_complex_rows(path), tag=tag)
+    def from_csv(cls, path) -> "OperatorWindow":
+        return cls(matrix=_read_complex_rows(path))
 
 
 def _write_complex_rows(path, rows) -> None:
@@ -121,14 +113,14 @@ def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     k = np.arange(N)
     alpha = w.alpha_array(N)
     M[k + 1, k] = alpha
-    return OperatorWindow(M, tag="shift", support=_diagonal_support(alpha, 1, 0))
+    return OperatorWindow(M, support=_diagonal_support(alpha, 1, 0))
 
 
 def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
     """N x (N+1) window of the adjoint: the transpose of shift_window (real weights)."""
     T = shift_window(w, N)
     rows, cols = T.support
-    return OperatorWindow(T.matrix.T.copy(), tag="adjoint", support=(cols, rows))
+    return OperatorWindow(T.matrix.T.copy(), support=(cols, rows))
 
 
 def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
@@ -144,7 +136,7 @@ def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
     k = np.arange(N - 1)
     alpha = w.alpha_array(N - 1)
     M[k, k + 1] = alpha
-    return OperatorWindow(M, tag="adjoint", support=_diagonal_support(alpha, 0, 1))
+    return OperatorWindow(M, support=_diagonal_support(alpha, 0, 1))
 
 
 def apply_adjoint(w: WeightSequence, vec: np.ndarray) -> np.ndarray:
@@ -172,14 +164,6 @@ class JordanChain:
     tail_bound: float
     l2_member: bool
     r_point: float
-
-    @property
-    def length(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def window_dim(self) -> int:
-        return len(self.vectors[0])
 
 
 def _log_binom(n: np.ndarray, j: int) -> np.ndarray:

@@ -8,10 +8,7 @@ bit for bit.
 Perturbation kinds: dense_random adds a normalized dense Gaussian
 direction of prescribed operator norm; weight_jitter multiplies each shift
 weight by (1 + delta_n) with |delta_n| small enough to keep the operator
-norm change below epsilon; compact_zeroing kills a fixed subsequence of
-weights, a structural (not small) perturbation used to illustrate how a
-shift with weights not bounded away from zero degenerates into finite
-nilpotent blocks. Zeroing is therefore rejected in convergence runs.
+norm change below epsilon.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .subspaces import (
 )
 from .weights import WeightSequence
 
-PERTURBATION_KINDS = ("dense_random", "weight_jitter", "compact_zeroing")
+PERTURBATION_KINDS = ("dense_random", "weight_jitter")
 
 SLOPE_WINDOW = (0.9, 1.1)
 FINAL_DISTANCE_FACTOR = 10.0
@@ -59,7 +56,6 @@ class PerturbationPlan:
     kind: str
     epsilon_schedule: tuple[float, ...]
     seed: int
-    zero_set: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
@@ -69,14 +65,6 @@ class PerturbationPlan:
             raise ValueError("epsilon schedule entries must be positive")
         if any(b >= a for a, b in zip(self.epsilon_schedule, self.epsilon_schedule[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if self.kind == "compact_zeroing":
-            if not self.zero_set:
-                raise ValueError("compact_zeroing needs a zero_set")
-            self.zero_set = tuple(int(i) for i in self.zero_set)
-            if any(b <= a for a, b in zip(self.zero_set, self.zero_set[1:])):
-                raise ValueError("zero_set must be strictly increasing")
-            if len(self.epsilon_schedule) > 1:
-                raise ValueError("compact_zeroing is a fixed perturbation; convergence schedules are rejected")
 
 
 @dataclass(frozen=True)
@@ -90,8 +78,7 @@ def _structured_positions(T: OperatorWindow) -> tuple[np.ndarray, np.ndarray]:
 
     Requires at most one nonzero entry per row and per column, which makes
     the operator norm of any entrywise change equal to the largest entry
-    change. Covers shift and adjoint windows, direct sums of them, and
-    their zeroed variants.
+    change. Covers shift and adjoint windows and direct sums of them.
     """
     rows, cols = np.nonzero(T.matrix)
     if len(rows) and (len(np.unique(rows)) != len(rows) or len(np.unique(cols)) != len(cols)):
@@ -105,9 +92,9 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
 
     stream_tags select the random substream (trial and step indices);
     the same (plan.seed, stream_tags) always yields the same direction.
-    The structured kinds take the nonzero positions from T.support and
-    scan the matrix only when T has none; a weight-jittered S carries the
-    support of T.
+    weight_jitter takes the nonzero positions from T.support and scans
+    the matrix only when T has none; the jittered S carries the support
+    of T.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -118,26 +105,16 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
         G /= np.linalg.norm(G, 2)
         S = M + epsilon * G
         delta = float(np.linalg.norm(S - M, 2))
-        return Perturbation(OperatorWindow(S, tag="perturbed"), delta)
+        return Perturbation(OperatorWindow(S), delta)
     rows, cols = T.support if T.support is not None else _structured_positions(T)
-    if plan.kind == "weight_jitter":
-        if len(rows) == 0:
-            return Perturbation(OperatorWindow(M, tag="perturbed", support=(rows, cols)), 0.0)
-        rng = stream(plan.seed, TAG_JITTER, *stream_tags)
-        norm_T = float(np.max(np.abs(M[rows, cols])))
-        delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(rows))
-        M[rows, cols] *= 1.0 + delta_n
-        delta = float(np.max(np.abs(M[rows, cols] - T.matrix[rows, cols])))
-        return Perturbation(OperatorWindow(M, tag="perturbed", support=(rows, cols)), delta)
-    # compact_zeroing kills weights alpha_n for n in the zero set; the weight
-    # index of a shift or adjoint entry is min(row, col)
-    n_index = np.minimum(rows, cols)
-    if len(np.unique(n_index)) != len(n_index):
-        raise ValueError("compact_zeroing needs unambiguous weight indices (single shift or adjoint window)")
-    mask = np.isin(n_index, plan.zero_set)
-    delta = float(np.max(np.abs(M[rows[mask], cols[mask]]))) if np.any(mask) else 0.0
-    M[rows[mask], cols[mask]] = 0.0
-    return Perturbation(OperatorWindow(M, tag="perturbed"), delta)
+    if len(rows) == 0:
+        return Perturbation(OperatorWindow(M, support=(rows, cols)), 0.0)
+    rng = stream(plan.seed, TAG_JITTER, *stream_tags)
+    norm_T = float(np.max(np.abs(M[rows, cols])))
+    delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(rows))
+    M[rows, cols] *= 1.0 + delta_n
+    delta = float(np.max(np.abs(M[rows, cols] - T.matrix[rows, cols])))
+    return Perturbation(OperatorWindow(M, support=(rows, cols)), delta)
 
 
 # -- norm-stability experiment ---------------------------------------------------
@@ -152,8 +129,6 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
     slope lies in [0.9, 1.1] and the final distance is at most 10 times
     the smallest epsilon.
     """
-    if plan.kind == "compact_zeroing":
-        raise ValueError("compact_zeroing cannot drive a convergence run")
     roots = [complex(r) for r in p_roots]
     A0 = adjoint_window_square(w, N)
     per_step: list[dict] = []

@@ -1,4 +1,4 @@
-"""Subspace bases, projections, invariance tests and the relative index.
+"""Subspace bases, projections, the invariance defect and the relative index.
 
 All rank decisions are relative: a singular value counts as nonzero when
 it exceeds tol times the largest one, and every index result carries the
@@ -7,12 +7,8 @@ assert the decision was well conditioned. A window with a weighted-shift
 support can certify full rank without an SVD (see rel_index); its gap is
 then computed only when read.
 
-Widening a subspace from a window of dimension N to one of dimension N + k
-appends the k new top coordinates to the padded span; narrowing truncates
-the basis vectors and reorthonormalizes. This keeps coordinate tail spans
-exactly invariant under shift windows, while finite-codimension spaces
-(whose widened representation is not of that form) must be supplied
-explicitly, as rel_index requires.
+rel_index is the invariance check: it takes the codomain subspace
+explicitly and reports the defect of T M_in against it.
 """
 
 from __future__ import annotations
@@ -106,10 +102,6 @@ class Projection:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def defects(self) -> tuple[float, float, float]:
         """(idempotency, hermitianity, trace-rank) defects."""
         P = self.matrix
@@ -124,13 +116,6 @@ class Projection:
         if idem > idem_tol or herm > herm_tol or tr > trace_tol:
             raise ValueError(f"projection invariants violated: P^2-P={idem:.2e}, P-P*={herm:.2e}, trace-rank={tr:.2e}")
         return self
-
-    def range_basis(self) -> SubspaceBasis:
-        if self.rank == 0:
-            return SubspaceBasis(np.zeros((self.dim, 0)), orthonormal=True)
-        vals, vecs = np.linalg.eigh(self.matrix)
-        keep = vals > 0.5
-        return SubspaceBasis(vecs[:, keep], orthonormal=True)
 
 
 def projection_from_orthonormal(Q: np.ndarray) -> Projection:
@@ -172,89 +157,16 @@ def orthonormalize(basis: SubspaceBasis, dependence_tol: float = GS_DEPENDENCE_T
     return result
 
 
-def principal_angles(a: SubspaceBasis, b: SubspaceBasis) -> np.ndarray:
-    """Principal angles (radians, increasing) between two subspaces.
+def projection_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
+    """Operator-norm distance between the orthogonal projections onto the spans.
 
-    Small angles come from the sine route (SVD of the residual after
-    projecting one basis onto the other), which stays accurate where
-    arccos of a near-unit cosine loses half the digits.
+    For spans of equal dimension this is the sine of the largest principal
+    angle between them (Golub & Van Loan, Matrix Computations, 4th ed.,
+    2.5.3 and 6.4.3).
     """
-    Qa = orthonormalize(a).matrix
-    Qb = orthonormalize(b).matrix
-    cosines = np.sort(np.clip(np.linalg.svd(Qa.conj().T @ Qb, compute_uv=False), 0.0, 1.0))[::-1]
-    resid = Qb - Qa @ (Qa.conj().T @ Qb)
-    sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))
-    k = min(len(cosines), len(sines))
-    angles = np.empty(k)
-    for i in range(k):
-        if cosines[i] ** 2 > 0.5:
-            angles[i] = math.asin(sines[i])
-        else:
-            angles[i] = math.acos(cosines[i])
-    return angles
-
-
-def projection_distance(a: SubspaceBasis | Projection, b: SubspaceBasis | Projection) -> float:
-    """Operator-norm distance between the orthogonal projections."""
-    Pa = a.matrix if isinstance(a, Projection) else projection_from_orthonormal(orthonormalize(a).matrix).matrix
-    Pb = b.matrix if isinstance(b, Projection) else projection_from_orthonormal(orthonormalize(b).matrix).matrix
+    Pa = projection_from_orthonormal(orthonormalize(a).matrix).matrix
+    Pb = projection_from_orthonormal(orthonormalize(b).matrix).matrix
     return float(np.linalg.norm(Pa - Pb, 2))
-
-
-# -- codomain transport --------------------------------------------------------
-
-def embed_basis(basis: SubspaceBasis, out_dim: int) -> SubspaceBasis:
-    """Default representation of a subspace in a window of another size.
-
-    Widening pads the vectors with zeros and appends the new top
-    coordinates; narrowing truncates and reorthonormalizes (the dimension
-    may drop).
-    """
-    Q = orthonormalize(basis).matrix
-    n, k = Q.shape
-    if out_dim == n:
-        return SubspaceBasis(Q, orthonormal=True)
-    if out_dim > n:
-        extra = out_dim - n
-        M = np.zeros((out_dim, k + extra), dtype=np.complex128)
-        M[:n, :k] = Q
-        M[n:, k:] = np.eye(extra)
-        return SubspaceBasis(M, orthonormal=True)
-    cut = Q[:out_dim, :]
-    norms = np.linalg.norm(cut, axis=0)
-    cut = cut[:, norms > GS_DEPENDENCE_TOL]
-    if cut.shape[1] == 0:
-        return SubspaceBasis(np.zeros((out_dim, 0)), orthonormal=True)
-    return orthonormalize(SubspaceBasis(cut))
-
-
-@dataclass(frozen=True)
-class InvarianceCheck:
-    invariant: bool
-    defect: float
-    tol: float
-
-
-def is_invariant(T: OperatorWindow, P: Projection | SubspaceBasis, tol: float = 1e-10,
-                 codomain: Projection | SubspaceBasis | None = None) -> InvarianceCheck:
-    """Check the lattice condition: image of the subspace stays inside it.
-
-    The defect is the operator norm of (1 - P_out) T P restricted to the
-    subspace. For rectangular T the codomain projection defaults to the
-    embedding rules of embed_basis.
-    """
-    basis = P.range_basis() if isinstance(P, Projection) else P
-    if basis.ambient_dim != T.cols:
-        raise ValueError(f"subspace lives in C^{basis.ambient_dim}, window expects C^{T.cols}")
-    Q = orthonormalize(basis).matrix
-    if codomain is None:
-        out = embed_basis(basis, T.rows)
-    else:
-        out = codomain.range_basis() if isinstance(codomain, Projection) else orthonormalize(codomain)
-    if out.ambient_dim != T.rows:
-        raise ValueError(f"codomain subspace lives in C^{out.ambient_dim}, window maps to C^{T.rows}")
-    defect = _invariance_defect(_window_image(T, Q), out)
-    return InvarianceCheck(invariant=defect <= tol, defect=defect, tol=tol)
 
 
 def _invariance_defect(img: np.ndarray, out: SubspaceBasis) -> float:
@@ -415,18 +327,17 @@ def polynomial_of_window(A: OperatorWindow, p) -> OperatorWindow:
         raise ValueError("polynomial evaluation needs a square window")
     coeffs = _poly_coeffs(p)
     if len(coeffs) == 0:
-        return OperatorWindow(np.zeros_like(A.matrix), tag="polynomial_in_adjoint")
+        return OperatorWindow(np.zeros_like(A.matrix))
     eye = np.eye(A.rows, dtype=np.complex128)
     P = coeffs[-1] * eye
     for c in coeffs[-2::-1]:
         P = P @ A.matrix + c * eye
-    return OperatorWindow(P, tag="polynomial_in_adjoint")
+    return OperatorWindow(P)
 
 
 @dataclass
 class KernelSpan:
     basis: SubspaceBasis
-    projection: Projection
     kernel_singular_values: np.ndarray
     sigma_max: float
 
@@ -453,13 +364,8 @@ def kernel_of_polynomial(A: OperatorWindow, p, tol: float = DEFAULT_RANK_TOL,
         if not 1 <= dim <= len(s):
             raise ValueError(f"forced kernel dimension {dim} out of range")
         count = dim
-    if count == 0:
-        basis = SubspaceBasis(np.zeros((A.rows, 0)), orthonormal=True)
-        proj = Projection(np.zeros_like(A.matrix), rank=0)
-        return KernelSpan(basis, proj, s[len(s):], sigma_max)
-    K = Vh.conj().T[:, -count:]
-    basis = SubspaceBasis(K, orthonormal=True)
-    return KernelSpan(basis, projection_from_orthonormal(K), s[-count:], sigma_max)
+    K = Vh.conj().T[:, len(s) - count:]
+    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - count:], sigma_max)
 
 
 def krylov_span(A: OperatorWindow, v: np.ndarray, m: int,
@@ -528,9 +434,10 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
 
     The reference is the span of the adjoint Jordan chains for `roots`.
     The reconstruction takes the kernel of p(A) for p with those roots
-    (dimension forced to deg p), seeds a Krylov span with the projected
-    cyclic vector, and reports the projection-norm distance to the
-    reference. A is typically a perturbed square adjoint window.
+    (dimension forced to deg p), seeds a Krylov span with the cyclic
+    vector projected onto that kernel, K (K* e) for its orthonormal basis
+    K, and reports the projection-norm distance to the reference. A is
+    typically a perturbed square adjoint window.
     """
     roots = [complex(r) for r in roots]
     m = len(roots)
@@ -553,7 +460,8 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
         e = default_cyclic_vector(reference)
 
     ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots), tol=tol, dim=m)
-    seed = ker.projection.matrix @ np.asarray(e, dtype=np.complex128)
+    K = ker.basis.matrix
+    seed = K @ (K.conj().T @ np.asarray(e, dtype=np.complex128))
     if np.linalg.norm(seed) < GS_DEPENDENCE_TOL:
         raise CyclicityError(0, m)
     span = krylov_span(A, seed, m)

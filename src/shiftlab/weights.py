@@ -47,7 +47,6 @@ class WeightSequence:
 
     kind: str
     explicit_values: np.ndarray | None = None
-    max_index_hint: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -64,10 +63,13 @@ class WeightSequence:
             if abs(vals[0] - 1.0) > 1e-9:
                 raise ValueError(f"omega(0) must be 1.0, got {vals[0]}")
             self.explicit_values = vals
-            if self.max_index_hint is None:
-                self.max_index_hint = len(vals) - 1
         elif self.explicit_values is not None:
             raise ValueError("explicit_values only apply to kind='explicit'")
+
+    @property
+    def max_index_hint(self) -> int | None:
+        """Largest n with omega(n) in the explicit table; None for presets."""
+        return None if self.explicit_values is None else len(self.explicit_values) - 1
 
     # -- construction helpers -------------------------------------------------
 
@@ -183,20 +185,6 @@ class WeightSequence:
         if not (lo > 0.0 and np.isfinite(hi)):
             raise ValueError(f"shift weights out of bounds on [0, {count}): min={lo}, max={hi}")
         return lo, hi
-
-
-# module-level forms matching the operation names
-
-def omega_at(w: WeightSequence, n: int) -> float:
-    return w.omega_at(n)
-
-
-def alpha_at(w: WeightSequence, n: int) -> float:
-    return w.alpha_at(n)
-
-
-def pi_product(w: WeightSequence, n: int) -> float:
-    return w.pi_product(n)
 
 
 def polynomial_weight(exponent: float, n_max: int) -> WeightSequence:

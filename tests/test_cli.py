@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import ConfigError, RunConfig, main, parse_complex, parse_complex_list, parse_float_list, run
+from shiftlab.cli import (
+    COMMANDS,
+    ConfigError,
+    RunConfig,
+    build_parser,
+    main,
+    parse_complex,
+    parse_complex_list,
+    parse_float_list,
+    run,
+)
 
 
 def run_cli(argv, tmp_path, monkeypatch):
@@ -74,6 +84,25 @@ class TestParsing:
     def test_unknown_command(self):
         with pytest.raises(ConfigError):
             RunConfig(command="frobnicate")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults_live_in_run_config(self, command):
+        assert vars(build_parser().parse_args([command])) == {"command": command}
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["chain", "--lambda", "-1e-1"], "lam", [-0.1, 0.0]),
+        (["chain", "--lambda", "-0.4i"], "lam", [0.0, -0.4]),
+        (["semicont", "--zeros", "-0.5,0.3i", "--N", "32", "--trials", "3"], "zeros", [[-0.5, 0.0], [0.0, 0.3]]),
+        (["stability", "--weight", "bergman", "--p-roots", "-0.3,0.4", "--N", "100"], "p_roots",
+         [[-0.3, 0.0], [0.4, 0.0]]),
+    ])
+    def test_value_may_begin_with_a_minus_sign(self, tmp_path, monkeypatch, argv, key, value):
+        assert run_cli(argv + ["--output", "neg"], tmp_path, monkeypatch) == 0
+        assert read_report(tmp_path, "neg")["inputs"][key] == value
+
+    def test_missing_value_is_still_an_error(self, tmp_path, monkeypatch, capsys):
+        assert run_cli(["chain", "--lambda", "--m", "2"], tmp_path, monkeypatch) == 1
+        assert "--lambda: expected one argument" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -255,6 +284,7 @@ class TestCommands:
         (["stability", "--rank-tol", "2.5"], "rank_tol must lie in (0, 1)"),
         (["semicont", "--invariance-tol", "0"], "invariance_tol must be positive"),
         (["semicont", "--invariance-tol=-1e-3"], "invariance_tol must be positive"),
+        (["semicont", "--invariance-tol", "-1e-3"], "invariance_tol must be positive"),
     ])
     def test_meaningless_tolerance_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
         code = run_cli(argv + ["--output", "tol"], tmp_path, monkeypatch)

@@ -55,6 +55,11 @@ class TestWindows:
         back = OperatorWindow.from_csv(path)
         assert np.allclose(back.matrix, win.matrix)
 
+    def test_windows_compare_by_identity(self):
+        win = shift_window(UNW, 4)
+        assert win == win
+        assert (win == shift_window(UNW, 4)) is False
+
 
 BUILDERS = (
     lambda w, N: shift_window(w, N),

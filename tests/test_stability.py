@@ -30,14 +30,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 0.0), seed=0)
 
-    def test_zero_set_must_increase(self):
-        with pytest.raises(ValueError):
-            PerturbationPlan(kind="compact_zeroing", epsilon_schedule=(1.0,), seed=0, zero_set=(20, 10))
-
-    def test_zeroing_rejects_convergence_schedule(self):
-        with pytest.raises(ValueError):
-            PerturbationPlan(kind="compact_zeroing", epsilon_schedule=(1e-1, 1e-2), seed=0, zero_set=(5, 10))
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PerturbationPlan(kind="banana", epsilon_schedule=(1e-2,), seed=0)
@@ -69,38 +61,16 @@ class TestPerturb:
         M = np.zeros((22, 20), dtype=complex)
         M[:11, :10] = S
         M[11:, 10:] = S
-        T = OperatorWindow(M, tag="custom")
+        T = OperatorWindow(M)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
         pert = perturb(T, plan, 1e-3)
         assert np.linalg.norm(pert.window.matrix - M, 2) <= 1e-3 + 1e-15
 
     def test_jitter_rejects_dense_window(self):
-        T = OperatorWindow(np.ones((4, 4), dtype=complex), tag="custom")
+        T = OperatorWindow(np.ones((4, 4), dtype=complex))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
         with pytest.raises(ValueError):
             perturb(T, plan, 1e-3)
-
-    def test_compact_zeroing_block_structure(self):
-        N = 64
-        T = shift_window(BER, N)
-        zero_set = tuple(range(10, N, 10))  # kill alpha_10, alpha_20, ...
-        plan = PerturbationPlan(kind="compact_zeroing", epsilon_schedule=(1.0,), seed=0, zero_set=zero_set)
-        pert = perturb(T, plan, 1.0)
-        M = pert.window.matrix
-        k = np.arange(N)
-        sub = M[k + 1, k]
-        assert np.all(sub[list(zero_set)] == 0)
-        # the square crop is nilpotent with index = longest surviving run + 1
-        runs, cur = [], 0
-        for v in sub[:N]:
-            cur = cur + 1 if v != 0 else 0
-            runs.append(cur)
-        crop = M[:N, :N]
-        power = np.linalg.matrix_power(crop, max(runs) + 1)
-        assert np.all(power == 0)
-        assert np.any(np.linalg.matrix_power(crop, max(runs)) != 0)
-        # the perturbation is fixed-size: norm equals the largest zeroed weight
-        assert pert.delta_norm == pytest.approx(BER.alpha_at(zero_set[-1]), rel=1e-14)
 
 
 class TestNormStabilityRun:
@@ -123,11 +93,6 @@ class TestNormStabilityRun:
         assert rep.verdict == "inconclusive"
         assert rep.fitted_slope is None
         assert rep.per_step[0]["distance"] is not None
-
-    def test_zeroing_plan_rejected(self):
-        plan = PerturbationPlan(kind="compact_zeroing", epsilon_schedule=(1.0,), seed=0, zero_set=(3,))
-        with pytest.raises(ValueError):
-            norm_stability_run(BER, [0.3], plan, N=100)
 
     def test_distances_monotone_within_factor(self):
         plan = PerturbationPlan(kind="dense_random", epsilon_schedule=EPS5, seed=7)
@@ -188,7 +153,7 @@ class TestSemicontinuity:
         M = np.zeros((2 * N + 2, 2 * N), dtype=complex)
         M[: N + 1, :N] = S
         M[N + 1 :, N:] = S
-        T = OperatorWindow(M, tag="custom")
+        T = OperatorWindow(M)
         M_in = SubspaceBasis(np.eye(2 * N, dtype=complex), orthonormal=True)
         M_out = SubspaceBasis(np.eye(2 * N + 2, dtype=complex), orthonormal=True)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-4, 1e-5), seed=5)
@@ -225,19 +190,15 @@ class TestSemicontinuity:
 class TestSupportPath:
     """Windows with a known support against the same matrices without one (dense path)."""
 
-    @pytest.mark.parametrize("kind, zero_set, eps", [
-        ("weight_jitter", None, 1e-3),
-        ("compact_zeroing", (3, 9, 20), 1.0),
-    ])
-    def test_perturb_uses_the_support_and_matches_the_scan(self, kind, zero_set, eps):
+    @pytest.mark.parametrize("kind, eps", [("weight_jitter", 1e-3)])
+    def test_perturb_uses_the_support_and_matches_the_scan(self, kind, eps):
         T = shift_window(BER, 40)
-        plan = PerturbationPlan(kind=kind, epsilon_schedule=(eps,), seed=6, zero_set=zero_set)
+        plan = PerturbationPlan(kind=kind, epsilon_schedule=(eps,), seed=6)
         known = perturb(T, plan, eps, stream_tags=(2, 1))
         scanned = perturb(OperatorWindow(T.matrix), plan, eps, stream_tags=(2, 1))
         assert np.array_equal(known.window.matrix, scanned.window.matrix)
         assert known.delta_norm == scanned.delta_norm
-        if kind == "weight_jitter":
-            assert all(np.array_equal(a, b) for a, b in zip(known.window.support, T.support))
+        assert all(np.array_equal(a, b) for a, b in zip(known.window.support, T.support))
 
     @pytest.mark.parametrize("zeros, N", [([0.3, -0.4], 48), ([0.5j, -0.2 + 0.1j, 0.6], 40)])
     def test_semicontinuity_identical_on_both_paths(self, zeros, N, monkeypatch):
@@ -249,7 +210,7 @@ class TestSupportPath:
 
         def dense_perturb(*args, **kwargs):
             pert = perturb(*args, **kwargs)
-            return Perturbation(OperatorWindow(pert.window.matrix, tag="perturbed"), pert.delta_norm)
+            return Perturbation(OperatorWindow(pert.window.matrix), pert.delta_norm)
 
         monkeypatch.setattr(stability, "perturb", dense_perturb)
         dense = semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 6)

@@ -272,6 +272,17 @@ class TestExplicitData:
         with pytest.raises(WeightDataError):
             w.alpha_at(2)  # needs omega(3)
 
+    def test_hint_is_read_from_the_table(self):
+        w = WeightSequence.from_values([1.0, 2.0, 3.0])
+        assert w.max_index_hint == 2
+        assert UNW.max_index_hint is None
+        with pytest.raises(AttributeError):
+            w.max_index_hint = 10
+        with pytest.raises(TypeError):
+            WeightSequence(kind="explicit", explicit_values=np.array([1.0, 2.0, 3.0]), max_index_hint=10)
+        with pytest.raises(WeightDataError):
+            w.alpha_array(6)  # needs omega(6); no hint can claim more than the table
+
     def test_alpha_bounds_check(self):
         w = polynomial_weight(2.0, 128)
         lo, hi = w.check_alpha_bounds(100)
