@@ -110,6 +110,9 @@ class RunConfig:
                 self.seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"SHIFTLAB_SEED must be an integer, got {env_seed!r}") from exc
+        if self.seed < 0:
+            key = "seed" if env_seed is None else "SHIFTLAB_SEED"
+            raise ConfigError(f"{key} must be non-negative, got {self.seed}")
         for key in ("trials", "n_sets", "batch", "degree"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -122,6 +125,8 @@ class RunConfig:
             raise ConfigError(f"rank_tol must lie in (0, 1), got {self.rank_tol!r}")
         if not self.invariance_tol > 0.0:
             raise ConfigError(f"invariance_tol must be positive, got {self.invariance_tol!r}")
+        if not self.min_sep > 0.0:
+            raise ConfigError(f"min_sep must be positive, got {self.min_sep!r}")
         return self
 
 

@@ -3,7 +3,8 @@
 Every experiment is a pure function of its configuration: random
 directions come from named Philox streams keyed by (seed, experiment tag,
 trial, step), so re-running with the same plan reproduces per-step metrics
-bit for bit.
+bit for bit. The three drivers run BLAS on one thread (`_blas`), so the
+bits do not depend on OPENBLAS_NUM_THREADS or the core count either.
 
 Perturbation kinds: dense_random adds a normalized dense Gaussian
 direction of prescribed operator norm; weight_jitter multiplies each shift
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .operators import OperatorWindow, adjoint_window_square, shift_window
 from .report import (
     VERDICT_FAIL,
@@ -119,6 +121,7 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
 
 # -- norm-stability experiment ---------------------------------------------------
 
+@one_blas_thread
 def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
                        N: int = 200, rank_tol: float = 1e-8) -> ExperimentReport:
     """Reconstruction distance against perturbation size, with slope fit.
@@ -181,6 +184,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
 
 # -- index semicontinuity experiment ----------------------------------------------
 
+@one_blas_thread
 def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
                        plan: PerturbationPlan, n_trials: int,
                        rank_tol: float = 1e-8,
@@ -287,6 +291,7 @@ def random_zero_sets(n_sets: int, seed: int, max_size: int = 5, radius: float = 
     return sets
 
 
+@one_blas_thread
 def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> ExperimentReport:
     """Relative index of the unweighted shift over zero-based subspaces.
 

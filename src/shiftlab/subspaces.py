@@ -339,7 +339,6 @@ def polynomial_of_window(A: OperatorWindow, p) -> OperatorWindow:
 class KernelSpan:
     basis: SubspaceBasis
     kernel_singular_values: np.ndarray
-    sigma_max: float
 
 
 def kernel_of_polynomial(A: OperatorWindow, p, tol: float = DEFAULT_RANK_TOL,
@@ -365,7 +364,7 @@ def kernel_of_polynomial(A: OperatorWindow, p, tol: float = DEFAULT_RANK_TOL,
             raise ValueError(f"forced kernel dimension {dim} out of range")
         count = dim
     K = Vh.conj().T[:, len(s) - count:]
-    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - count:], sigma_max)
+    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - count:])
 
 
 def krylov_span(A: OperatorWindow, v: np.ndarray, m: int,
@@ -406,7 +405,6 @@ def krylov_span(A: OperatorWindow, v: np.ndarray, m: int,
 
 @dataclass
 class ReconstructionResult:
-    subspace: SubspaceBasis
     reference: SubspaceBasis
     distance: float
     kernel_singular_values: np.ndarray
@@ -469,7 +467,6 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
         raise CyclicityError(span.dim, m)
     dist = projection_distance(span, ref_ortho)
     return ReconstructionResult(
-        subspace=span,
         reference=ref_ortho,
         distance=dist,
         kernel_singular_values=ker.kernel_singular_values,

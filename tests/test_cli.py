@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,7 +157,7 @@ class TestCommands:
         # identical except for the echoed output prefix
         assert b1.replace(b'"s1"', b'"sX"') == b2.replace(b'"s2"', b'"sX"')
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         argv = ["stability", "--weight", "bergman", "--N", "80",
                 "--eps", "1e-2,1e-3", "--seed", "5", "--output", "e1"]
         run_cli(argv, tmp_path, monkeypatch)
@@ -164,6 +168,11 @@ class TestCommands:
         assert rep1["inputs"]["seed"] == 5
         assert rep2["inputs"]["seed"] == 99
         assert rep1["per_step"] != rep2["per_step"]
+        monkeypatch.setenv("SHIFTLAB_SEED", "-3")
+        capsys.readouterr()
+        assert run_cli(argv[:-1] + ["e3"], tmp_path, monkeypatch) == 1
+        assert "config error: SHIFTLAB_SEED must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "e3.report.json").exists()
 
     def test_semicont_small(self, tmp_path, monkeypatch):
         code = run_cli(
@@ -285,6 +294,8 @@ class TestCommands:
         (["semicont", "--invariance-tol", "0"], "invariance_tol must be positive"),
         (["semicont", "--invariance-tol=-1e-3"], "invariance_tol must be positive"),
         (["semicont", "--invariance-tol", "-1e-3"], "invariance_tol must be positive"),
+        (["stability", "--seed", "-1"], "seed must be non-negative"),
+        (["beurling-index", "--min-sep", "-1"], "min_sep must be positive"),
     ])
     def test_meaningless_tolerance_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
         code = run_cli(argv + ["--output", "tol"], tmp_path, monkeypatch)
@@ -304,3 +315,21 @@ class TestCommands:
         code = run(RunConfig(command="radii", weight="unweighted", N=128, output="direct"))
         assert code == 0
         assert (tmp_path / "direct.report.json").exists()
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "SHIFTLAB_SEED"}
+        env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        files = {}
+        for argv in (["stability", "--N", "100"], ["beurling-index", "--sets", "5"]):
+            workdir = tmp_path / f"{threads}-{argv[0]}"
+            workdir.mkdir()
+            subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv, "--output", "r"],
+                           cwd=workdir, env=env, check=True, capture_output=True, timeout=120)
+            for name in ("r.report.json", "r.steps.csv"):
+                files[argv[0], name] = (workdir / name).read_bytes()
+        outputs.append(files)
+    assert outputs[0] == outputs[1]

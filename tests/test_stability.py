@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shiftlab import stability
+from shiftlab import _blas, stability
 from shiftlab.operators import OperatorWindow, adjoint_window_square, shift_window
 from shiftlab.stability import (
     Perturbation,
@@ -278,3 +278,75 @@ class TestBeurlingIndexSweep:
             for i, a in enumerate(zs):
                 for b in zs[i + 1 :]:
                     assert abs(a - b) >= 1e-2
+
+
+class FakeBlas:
+    """Stands in for the OpenBLAS thread-count pair."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def put(self, n):
+        self.count = n
+
+
+def _small_driver_calls():
+    N = 24
+    T = shift_window(UNW, N)
+    M_in, M_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
+    jitter = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3, 1e-4), seed=3)
+    dense = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 1e-3), seed=3)
+    return {
+        "norm_stability_run": ("reconstruct_chain_subspace", (BER, [0.3, -0.4], dense), {"N": 40}),
+        "semicontinuity_run": ("rel_index", (T, M_in, M_out, jitter, 2), {}),
+        "beurling_index_sweep": ("rel_index", ([[0.3], [0.1, -0.5j]], 32), {}),
+    }
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("driver", ["norm_stability_run", "semicontinuity_run", "beurling_index_sweep"])
+    def test_one_thread_inside_and_restored_after(self, driver, monkeypatch):
+        fake = FakeBlas(4)
+        monkeypatch.setattr(_blas, "_lookup", lambda: (fake.get, fake.put))
+        spied, args, kwargs = _small_driver_calls()[driver]
+        seen = []
+        original = getattr(stability, spied)
+        monkeypatch.setattr(stability, spied, lambda *a, **k: seen.append(fake.count) or original(*a, **k))
+        getattr(stability, driver)(*args, **kwargs)
+        assert seen and set(seen) == {1}
+        assert fake.count == 4
+
+    def test_restored_after_a_raise(self, monkeypatch):
+        fake = FakeBlas(3)
+        monkeypatch.setattr(_blas, "_lookup", lambda: (fake.get, fake.put))
+        _, (T, M_in, M_out, plan, _), _ = _small_driver_calls()["semicontinuity_run"]
+        with pytest.raises(ValueError, match="n_trials"):
+            semicontinuity_run(T, M_in, M_out, plan, n_trials=0)
+        assert fake.count == 3
+
+    def test_without_the_symbols_the_driver_runs_unchanged(self, monkeypatch):
+        monkeypatch.setattr(_blas, "_SYMBOLS", (("no_such_get_threads", "no_such_set_threads"),))
+        _blas._lookup.cache_clear()
+        try:
+            assert _blas._lookup() is None
+            _, args, kwargs = _small_driver_calls()["semicontinuity_run"]
+            rep = semicontinuity_run(*args, **kwargs)
+            assert rep.to_json_bytes() == semicontinuity_run.__wrapped__(*args, **kwargs).to_json_bytes()
+        finally:
+            _blas._lookup.cache_clear()
+
+    def test_real_library_count_is_restored(self, monkeypatch):
+        found = _blas._lookup()
+        if found is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get, _ = found
+        before = get()
+        seen = []
+        original = stability.rel_index
+        monkeypatch.setattr(stability, "rel_index", lambda *a, **k: seen.append(get()) or original(*a, **k))
+        beurling_index_sweep(random_zero_sets(3, seed=5), 64)
+        assert set(seen) == {1}
+        assert get() == before
