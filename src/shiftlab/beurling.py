@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import TAG_SERIES, complex_uniform_square, stream
+from .seeding import TAG_SERIES, draw_uniform, philox_keys
 from .weights import WeightSequence, omega_s_increasing_tail
 
 
@@ -146,11 +146,13 @@ def _draw_block(seed: int, kind: int, start: int, stop: int, length: int, count:
     """(count, stop - start, length) series for samples start .. stop-1.
 
     Each sample has its own stream (seed, TAG_SERIES, kind, i) and draws its
-    count series in order, so a sample's draws do not depend on the block.
+    count series in order, real parts then imaginary parts, each uniform on
+    [-1, 1]; so a sample's draws do not depend on the block.
     """
+    parts = draw_uniform(philox_keys(seed, TAG_SERIES, kind, np.arange(start, stop)), (count, 2, length))
     out = np.empty((stop - start, count, length), dtype=np.complex128)
-    for row, i in enumerate(range(start, stop)):
-        out[row] = complex_uniform_square(stream(seed, TAG_SERIES, kind, i), count, length)
+    out.real = parts[:, :, 0]
+    out.imag = parts[:, :, 1]
     return out.transpose(1, 0, 2)
 
 

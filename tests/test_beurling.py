@@ -351,6 +351,18 @@ class TestBatchKernels:
             assert close(got, ref)
 
     def test_draws_equal_the_per_sample_streams(self):
+        """Every kind, a seed of one and of two 32-bit words, across a block boundary."""
+        length = 33
+        per_block = beurling._BLOCK_COEFFS // length
+        for seed in (7, 2**32 + 9):
+            for kind, count in ((1, 2), (2, 1), (3, 1)):
+                blocks = list(beurling._batches(seed, kind, per_block + 5, length, count))
+                assert [b.shape[1] for b in blocks] == [per_block, 5]
+                drawn = np.concatenate(blocks, axis=1)
+                for i in range(per_block + 5):
+                    rng = stream(seed, TAG_SERIES, kind, i)
+                    for series in drawn[:, i]:
+                        assert np.array_equal(series, ref_series(rng, length - 1).coeffs)
         F1, F2 = beurling._draw_block(7, 1, 3, 9, 33, 2)
         for row, i in enumerate(range(3, 9)):
             rng = stream(7, TAG_SERIES, 1, i)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,14 @@ class TestCommands:
         assert code == 0
         rep = read_report(tmp_path, "bir")
         assert all(s["index"] == 1 for s in rep["per_step"])
+
+    def test_unreachable_min_sep_exits_one(self, tmp_path, monkeypatch, capsys):
+        start = time.perf_counter()
+        code = run_cli(["beurling-index", "--min-sep", "1", "--output", "ms"], tmp_path, monkeypatch)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert "min_sep" in capsys.readouterr().err
+        assert not (tmp_path / "ms.report.json").exists()
 
     def test_beurling_check_with_weight_file(self, tmp_path, monkeypatch):
         wfile = tmp_path / "w.txt"

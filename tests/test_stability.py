@@ -3,6 +3,7 @@ import pytest
 
 from shiftlab import _blas, stability
 from shiftlab.operators import OperatorWindow, adjoint_window_square, shift_window
+from shiftlab.seeding import TAG_ZERO_SETS, stream
 from shiftlab.stability import (
     Perturbation,
     PerturbationPlan,
@@ -278,6 +279,21 @@ class TestBeurlingIndexSweep:
             for i, a in enumerate(zs):
                 for b in zs[i + 1 :]:
                     assert abs(a - b) >= 1e-2
+
+    def test_unreachable_separation_raises(self):
+        sizes = [int(stream(4, TAG_ZERO_SETS, i).integers(1, 6)) for i in range(10)]
+        first = next(i for i, size in enumerate(sizes) if size > 1)
+        with pytest.raises(ValueError, match=rf"zero set {first}: .*min_sep 2\.0"):
+            random_zero_sets(10, seed=4, min_separation=2.0)  # wider than the 0.8 disc
+
+    def test_draw_budget_covers_half_separation(self, monkeypatch):
+        sets = [random_zero_sets(50, seed, min_separation=0.5) for seed in range(21)]
+        monkeypatch.setattr(stability, "ZERO_SET_DRAWS", 71)
+        assert [random_zero_sets(50, seed, min_separation=0.5) for seed in range(21)] == sets
+        monkeypatch.setattr(stability, "ZERO_SET_DRAWS", 70)
+        with pytest.raises(ValueError, match="70 draws"):
+            for seed in range(21):
+                random_zero_sets(50, seed, min_separation=0.5)
 
 
 class FakeBlas:
