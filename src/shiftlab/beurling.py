@@ -12,7 +12,6 @@ the absence of a blow-up trend under degree doubling.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import TAG_SERIES, draw_uniform, philox_keys
-from .weights import WeightSequence, omega_s_increasing_tail
+from .weights import WeightSequence
 
 
 @dataclass
@@ -50,16 +49,6 @@ class CoefficientSeries:
         return cls(np.zeros(0))
 
     @classmethod
-    def one(cls) -> "CoefficientSeries":
-        return cls(np.array([1.0 + 0j]))
-
-    @classmethod
-    def monomial(cls, d: int, scale: complex = 1.0) -> "CoefficientSeries":
-        c = np.zeros(d + 1, dtype=np.complex128)
-        c[d] = scale
-        return cls(c)
-
-    @classmethod
     def from_roots(cls, roots) -> "CoefficientSeries":
         p = np.array([1.0 + 0j])
         for r in roots:
@@ -76,14 +65,6 @@ class CoefficientSeries:
         out = np.zeros(length, dtype=np.complex128)
         out[: len(self.coeffs)] = self.coeffs
         return out
-
-    def to_json(self) -> str:
-        return json.dumps([[z.real, z.imag] for z in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoefficientSeries":
-        pairs = json.loads(text)
-        return cls(np.array([complex(re, im) for re, im in pairs], dtype=np.complex128))
 
 
 # -- coefficient-row kernels ------------------------------------------------------
@@ -131,15 +112,6 @@ def multiply(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
 def add(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
     n = max(len(f.coeffs), len(g.coeffs))
     return CoefficientSeries(f.padded(n) + g.padded(n))
-
-
-def derivative(f: CoefficientSeries) -> CoefficientSeries:
-    return CoefficientSeries(_derivative_rows(f.coeffs))
-
-
-def beurling_norm(f: CoefficientSeries, w: WeightSequence, s: int = 0) -> float:
-    """Weighted l2 coefficient norm; s > 0 measures against omega_s."""
-    return float(_weighted_norms(f.coeffs, w, s))
 
 
 def _draw_block(seed: int, kind: int, start: int, stop: int, length: int, count: int) -> np.ndarray:
@@ -248,18 +220,9 @@ def _wa_parts(p: np.ndarray, F1: np.ndarray, F2: np.ndarray, w: WeightSequence):
     return _weighted_norms(_cauchy_rows(PF1, F2), w), _weighted_norms(PF1, w), _weighted_norms(PF2, w)
 
 
-def check_wa(p: CoefficientSeries, f1: CoefficientSeries, f2: CoefficientSeries,
-             w: WeightSequence) -> float:
-    """Ratio ||p f1 f2|| / (||p f1|| ||p f2||) in the omega norm."""
-    num, d1, d2 = _wa_parts(p.coeffs, f1.coeffs, f2.coeffs, w)
-    if d1 == 0.0 or d2 == 0.0:
-        raise ZeroDivisionError("p*f1 and p*f2 must be nonzero")
-    return float(num / (d1 * d2))
-
-
 def check_wa_batch(p: CoefficientSeries, w: WeightSequence, degree: int,
                    n_pairs: int, seed: int) -> float:
-    """Empirical max of the product ratio over seeded random pairs.
+    """Empirical max of ||p f1 f2|| / (||p f1|| ||p f2||) over seeded random pairs.
 
     Pairs with p f1 = 0 or p f2 = 0 are skipped; with none left the max is 0.0.
     """
@@ -294,27 +257,12 @@ def _wc_ratios(F: np.ndarray, w: WeightSequence) -> np.ndarray:
     return _weighted_norms(_cauchy_rows(_Z_MINUS_1, F), w) / _weighted_norms(F, w, s=1)
 
 
-def check_wc(f: CoefficientSeries, w: WeightSequence, tail_check_N: int | None = None) -> float:
-    """Ratio ||(z-1) f||_omega / ||f||_omega_1.
-
-    The lower bound this probes holds when omega_2 increases for large n;
-    a warning is emitted when the tail check fails, and the ratio is
-    reported either way.
-    """
-    if f.is_zero:
-        raise ZeroDivisionError("f must be nonzero")
-    N_check = tail_check_N if tail_check_N is not None else max(64, 2 * (f.degree + 2))
-    if w.kind != "explicit" or w.max_index_hint >= N_check:
-        if not omega_s_increasing_tail(w, 2, N_check):
-            warnings.warn("omega_2 is not increasing on the checked tail; no lower bound is claimed", RuntimeWarning)
-    return float(_wc_ratios(f.coeffs, w))
-
-
 def check_wc_batch(w: WeightSequence, degree: int, n_samples: int, seed: int) -> float:
-    """Empirical min of the division ratio over seeded random series.
+    """Empirical min of ||(z-1) f||_omega / ||f||_omega_1 over seeded random series.
 
-    Zero series are skipped; with none left the min is inf. The omega_2 tail
-    check of check_wc is not made: a batch reports the ratio either way.
+    Zero series are skipped; with none left the min is inf. The lower bound
+    this probes holds when omega_2 increases for large n; that is not
+    checked, and the ratio is reported either way.
     """
     best = math.inf
     for (F,) in _batches(seed, 2, n_samples, degree + 1, 1):
@@ -329,23 +277,12 @@ def _derivative_sides(F: np.ndarray, w: WeightSequence) -> tuple[np.ndarray, np.
     return _weighted_norms(F, w), np.abs(F[..., 0]) + _weighted_norms(_derivative_rows(F), w, s=1)
 
 
-def derivative_equivalence_probe(f: CoefficientSeries, w: WeightSequence) -> tuple[float, float]:
-    """Return (||f||_omega, |f(0)| + ||f'||_omega_1).
-
-    The right-hand side uses the unsquared derivative term, the form
-    consistent with scaling f -> t f; both sides are reported so the
-    two-sided comparability can be read off directly.
-    """
-    if f.is_zero:
-        raise ZeroDivisionError("f must be nonzero")
-    left, right = _derivative_sides(f.coeffs, w)
-    return float(left), float(right)
-
-
 def derivative_probe_batch(w: WeightSequence, degree: int, n_samples: int, seed: int) -> tuple[float, float]:
-    """Empirical (min, max) of left/right over seeded random series.
+    """Empirical (min, max) of ||f||_omega / (|f(0)| + ||f'||_omega_1) over
+    seeded random series.
 
-    Zero series are skipped; with none left the result is (inf, 0.0).
+    The derivative term is unsquared, the form consistent with scaling
+    f -> t f. Zero series are skipped; with none left the result is (inf, 0.0).
     """
     lo, hi = math.inf, 0.0
     for (F,) in _batches(seed, 3, n_samples, degree + 1, 1):

@@ -140,7 +140,7 @@ def load_weight(spec: str) -> wt.WeightSequence:
     if spec in wt.PRESET_KINDS:
         return wt.WeightSequence.preset(spec)
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return wt.WeightSequence.from_file(path)
     raise ConfigError(f"--weight {spec!r} is neither a preset {wt.PRESET_KINDS} nor an existing file")
 
@@ -225,7 +225,7 @@ def _run_chain(config: RunConfig) -> ExperimentReport:
 def _run_stability(config: RunConfig) -> ExperimentReport:
     w = load_weight(config.weight)
     plan = st.PerturbationPlan(kind="dense_random", epsilon_schedule=config.eps, seed=config.seed)
-    rep = st.norm_stability_run(w, config.p_roots, plan, N=config.N, rank_tol=config.rank_tol)
+    rep = st.norm_stability_run(w, config.p_roots, plan, N=config.N)
     rep.inputs = _echo_config(config)
     return rep
 
@@ -344,12 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftlab", description="Weighted-shift numerical laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
+        # each command takes only the options its runner reads
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument("--weight", help="preset name or weight file path")
-        p.add_argument("--N", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--output", help="output path prefix")
-        p.add_argument("--rank-tol", type=float, dest="rank_tol")
+        if name != "beurling-index":
+            p.add_argument("--weight", help="preset name or weight file path")
+        if name != "beurling-check":
+            p.add_argument("--N", type=int)
+        if name in ("stability", "semicont", "beurling-index", "beurling-check"):
+            p.add_argument("--seed", type=int)
+        if name in ("semicont", "beurling-index"):
+            p.add_argument("--rank-tol", type=float, dest="rank_tol")
         if name == "radii":
             p.add_argument("--window-len", type=int, dest="window_len")
         if name == "chain":

@@ -14,7 +14,6 @@ depend on the weights alone and keeps reconstructions reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -74,29 +73,6 @@ class OperatorWindow:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def to_csv(self, path) -> None:
-        """Row-major CSV with quoted "re,im" cells."""
-        _write_complex_rows(path, self.matrix)
-
-    @classmethod
-    def from_csv(cls, path) -> "OperatorWindow":
-        return cls(matrix=_read_complex_rows(path))
-
-
-def _write_complex_rows(path, rows) -> None:
-    """One CSV line per row, one quoted "re,im" cell per entry (repr floats)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-        for row in rows:
-            writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in row])
-
-
-def _read_complex_rows(path) -> np.ndarray:
-    """Inverse of _write_complex_rows: the rows as a complex matrix."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[complex(*map(float, cell.split(","))) for cell in record] for record in csv.reader(fh)]
-    return np.array(rows, dtype=np.complex128)
 
 
 def _diagonal_support(alpha: np.ndarray, row_offset: int, col_offset: int) -> tuple[np.ndarray, np.ndarray]:

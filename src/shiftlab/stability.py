@@ -126,7 +126,7 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
 
 @one_blas_thread
 def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
-                       N: int = 200, rank_tol: float = 1e-8) -> ExperimentReport:
+                       N: int = 200) -> ExperimentReport:
     """Reconstruction distance against perturbation size, with slope fit.
 
     For each epsilon in the schedule, perturbs the square adjoint window,
@@ -144,7 +144,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
         pert = perturb(A0, plan, eps, stream_tags=(TAG_STABILITY, j))
         entry: dict = {"epsilon": eps, "delta_norm": pert.delta_norm}
         try:
-            rec = reconstruct_chain_subspace(w, roots, pert.window, tol=rank_tol)
+            rec = reconstruct_chain_subspace(w, roots, pert.window)
             entry["distance"] = rec.distance
             entry["kernel_sigma"] = float(np.max(rec.kernel_singular_values))
             distances.append(rec.distance)
@@ -176,7 +176,6 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
             "epsilon_schedule": list(plan.epsilon_schedule),
             "seed": plan.seed,
             "N": N,
-            "rank_tol": rank_tol,
         },
         per_step=per_step,
         fitted_slope=slope,

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .beurling import CoefficientSeries
-from .operators import OperatorWindow, _read_complex_rows, _write_complex_rows, jordan_chain
+from .operators import OperatorWindow, jordan_chain
 from .weights import WeightSequence
 
 DEFAULT_RANK_TOL = 1e-8
@@ -83,14 +83,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def to_csv(self, path) -> None:
-        """Column vectors as CSV rows of quoted "re,im" cells."""
-        _write_complex_rows(path, self.matrix.T)
-
-    @classmethod
-    def from_csv(cls, path) -> "SubspaceBasis":
-        return cls(_read_complex_rows(path).T)
-
 
 @dataclass
 class Projection:
@@ -101,21 +93,6 @@ class Projection:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-
-    def defects(self) -> tuple[float, float, float]:
-        """(idempotency, hermitianity, trace-rank) defects."""
-        P = self.matrix
-        return (
-            float(np.linalg.norm(P @ P - P, 2)),
-            float(np.linalg.norm(P - P.conj().T, 2)),
-            float(abs(np.trace(P).real - self.rank) + abs(np.trace(P).imag)),
-        )
-
-    def validate(self, idem_tol: float = 1e-10, herm_tol: float = 1e-12, trace_tol: float = 1e-8) -> "Projection":
-        idem, herm, tr = self.defects()
-        if idem > idem_tol or herm > herm_tol or tr > trace_tol:
-            raise ValueError(f"projection invariants violated: P^2-P={idem:.2e}, P-P*={herm:.2e}, trace-rank={tr:.2e}")
-        return self
 
 
 def projection_from_orthonormal(Q: np.ndarray) -> Projection:
@@ -341,30 +318,21 @@ class KernelSpan:
     kernel_singular_values: np.ndarray
 
 
-def kernel_of_polynomial(A: OperatorWindow, p, tol: float = DEFAULT_RANK_TOL,
-                         dim: int | None = None) -> KernelSpan:
-    """Numerical kernel of p(A) from the small right singular vectors.
+def kernel_of_polynomial(A: OperatorWindow, p, dim: int) -> KernelSpan:
+    """Numerical kernel of p(A): the dim smallest right singular vectors.
 
-    With dim=None the kernel collects singular values at or below
-    tol * sigma_max (possibly none). Passing dim forces that many smallest
-    directions, for settings where the kernel dimension is known a priori
-    and survives perturbations that would defeat a fixed threshold.
+    The kernel dimension is forced, for settings where it is known a
+    priori and survives perturbations that would defeat a fixed threshold.
     """
     coeffs = _poly_coeffs(p)
     if len(coeffs) < 2:
         raise ValueError("polynomial degree must be >= 1")
     P = polynomial_of_window(A, coeffs)
     U, s, Vh = np.linalg.svd(P.matrix)
-    sigma_max = float(s[0]) if len(s) else 0.0
-    if dim is None:
-        keep = s <= tol * sigma_max if sigma_max > 0 else np.ones_like(s, dtype=bool)
-        count = int(np.sum(keep))
-    else:
-        if not 1 <= dim <= len(s):
-            raise ValueError(f"forced kernel dimension {dim} out of range")
-        count = dim
-    K = Vh.conj().T[:, len(s) - count:]
-    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - count:])
+    if not 1 <= dim <= len(s):
+        raise ValueError(f"forced kernel dimension {dim} out of range")
+    K = Vh.conj().T[:, len(s) - dim:]
+    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - dim:])
 
 
 def krylov_span(A: OperatorWindow, v: np.ndarray, m: int,
@@ -426,7 +394,6 @@ def default_cyclic_vector(reference: SubspaceBasis) -> np.ndarray:
 
 
 def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
-                               tol: float = DEFAULT_RANK_TOL,
                                e: np.ndarray | None = None) -> ReconstructionResult:
     """Rebuild the chain-spanned invariant subspace from a window of A.
 
@@ -457,7 +424,7 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
     if e is None:
         e = default_cyclic_vector(reference)
 
-    ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots), tol=tol, dim=m)
+    ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots), dim=m)
     K = ker.basis.matrix
     seed = K @ (K.conj().T @ np.asarray(e, dtype=np.complex128))
     if np.linalg.norm(seed) < GS_DEPENDENCE_TOL:

@@ -57,6 +57,9 @@ class WeightSequence:
             vals = np.asarray(self.explicit_values, dtype=float)
             if vals.ndim != 1 or len(vals) < 2:
                 raise ValueError("explicit_values must be a 1-d table with at least two entries")
+            if not np.all(np.isfinite(vals)):
+                bad = int(np.argmin(np.isfinite(vals)))
+                raise ValueError(f"omega({bad}) = {vals[bad]} is not finite")
             if np.any(vals < 1.0 - 1e-12):
                 bad = int(np.argmax(vals < 1.0 - 1e-12))
                 raise ValueError(f"omega({bad}) = {vals[bad]} violates omega >= 1")
@@ -99,47 +102,24 @@ class WeightSequence:
             if not text:
                 raise WeightDataError(f"{path}: line {i} is blank; line number n must hold omega(n)")
             try:
-                vals.append(float(text))
+                value = float(text)
             except ValueError as exc:
                 raise WeightDataError(f"{path}: line {i} is not a plain decimal: {text!r}") from exc
+            if not math.isfinite(value):
+                raise WeightDataError(f"{path}: line {i} is not finite: {text!r}")
+            vals.append(value)
         if not vals:
             raise WeightDataError(f"{path}: empty weight file")
         if abs(vals[0] - 1.0) > 1e-9:
             raise WeightDataError(f"{path}: first line must parse to 1.0 (got {vals[0]})")
         return cls.from_values(vals)
 
-    # -- elementwise accessors ------------------------------------------------
-
-    def _check_index(self, n: int, need: int):
-        if n < 0:
-            raise ValueError(f"index must be nonnegative, got {n}")
-        if self.kind == "explicit" and need > self.max_index_hint:
-            raise WeightDataError(
-                f"index {need} beyond explicit data (max_index_hint={self.max_index_hint})"
-            )
-
-    def omega_at(self, n: int) -> float:
-        """omega(n), as exp of the log table; equals 1 at n = 0 for every kind.
-
-        Builds the O(n) table to read one entry. For an explicit table the
-        result can differ from the stored value by a few ulp (about 1e-15
-        relative), so do not compare it for exact equality.
-        """
-        self._check_index(n, n)
-        return math.exp(self.log_omega_array(n + 1)[n])
-
-    def alpha_at(self, n: int) -> float:
-        """Shift weight alpha_n, as exp of the O(n) log-alpha table.
-
-        For an explicit table the result can differ from the ratio
-        omega(n+1) / omega(n) of the stored values by a few ulp.
-        """
-        self._check_index(n, n + 1)
-        return math.exp(self.log_alpha_array(n + 1)[n])
-
     def log_omega_array(self, count: int) -> np.ndarray:
         """log omega(0) .. log omega(count-1); the only per-kind formula."""
-        self._check_index(0, count - 1)
+        if self.kind == "explicit" and count - 1 > self.max_index_hint:
+            raise WeightDataError(
+                f"index {count - 1} beyond explicit data (max_index_hint={self.max_index_hint})"
+            )
         n = np.arange(count, dtype=float)
         if self.kind == "unweighted":
             return np.zeros(count)
@@ -173,10 +153,6 @@ class WeightSequence:
     def r_point(self, N: int) -> float:
         """(pi_N)^(1/N), the growth rate that decides which adjoint eigenvectors are l2."""
         return math.exp(self.log_pi(N) / N)
-
-    def pi_product(self, n: int) -> float:
-        """pi_n = alpha_0 * ... * alpha_{n-1}; the empty product is 1."""
-        return math.exp(self.log_pi(n))
 
     def check_alpha_bounds(self, count: int) -> tuple[float, float]:
         """Verify 0 < inf alpha <= sup alpha < inf over [0, count); return (min, max)."""
@@ -353,12 +329,3 @@ def classify(
         alpha_range=alpha_range,
     )
 
-
-def omega_s_increasing_tail(w: WeightSequence, s: int, N: int, tail_start: int | None = None) -> bool:
-    """True when omega(n)(1+n)^(-s) is nondecreasing on [tail_start, N]."""
-    tail0 = tail_start if tail_start is not None else N // 2
-    log_omega = w.log_omega_array(N + 1)
-    n = np.arange(N + 1, dtype=float)
-    h = log_omega - s * np.log1p(n)
-    seg = h[tail0:]
-    return bool(np.all(np.diff(seg) >= -SECOND_DIFF_TOL))

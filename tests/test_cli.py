@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.cli import (
+    _RUNNERS,
     COMMANDS,
     ConfigError,
     RunConfig,
@@ -108,6 +111,34 @@ class TestParsing:
     def test_missing_value_is_still_an_error(self, tmp_path, monkeypatch, capsys):
         assert run_cli(["chain", "--lambda", "--m", "2"], tmp_path, monkeypatch) == 1
         assert "--lambda: expected one argument" in capsys.readouterr().err
+
+    def test_every_option_is_read_by_its_runner(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for command, sub in subparsers.choices.items():
+            source = inspect.getsource(_RUNNERS[command])
+            for action in sub._actions:
+                if action.option_strings and action.dest not in ("help", "output"):
+                    if f"config.{action.dest}" not in source:
+                        unread.append((command, action.option_strings[0]))
+        assert unread == []
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--seed", "1"],
+        ["classify", "--rank-tol", "1e-6"],
+        ["radii", "--seed", "1"],
+        ["radii", "--rank-tol", "1e-6"],
+        ["chain", "--seed", "1"],
+        ["chain", "--rank-tol", "1e-6"],
+        ["stability", "--rank-tol", "0.5"],
+        ["beurling-index", "--weight", "bergman"],
+        ["beurling-check", "--N", "5"],
+        ["beurling-check", "--rank-tol", "1e-6"],
+    ])
+    def test_option_its_command_does_not_read_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        assert run_cli(argv + ["--output", "unread"], tmp_path, monkeypatch) == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "unread.report.json").exists()
 
 
 class TestCommands:
@@ -235,6 +266,22 @@ class TestCommands:
     def test_bad_weight_exits_one(self, tmp_path, monkeypatch):
         assert run_cli(["classify", "--weight", "nonexistent"], tmp_path, monkeypatch) == 1
 
+    def test_directory_is_not_a_weight_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "wdir").mkdir()
+        assert run_cli(["radii", "--weight", "wdir", "--output", "d"], tmp_path, monkeypatch) == 1
+        assert "config error: --weight 'wdir' is neither a preset" in capsys.readouterr().err
+        assert not (tmp_path / "d.report.json").exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_weight_file_exits_one(self, tmp_path, monkeypatch, capsys, text):
+        # long enough for the default radii window, so only the bad value can fail it
+        values = [str(float(n + 1)) for n in range(300)]
+        values[7] = text
+        (tmp_path / "w.txt").write_text("\n".join(values), encoding="utf-8")
+        assert run_cli(["radii", "--weight", "w.txt", "--output", "nfw"], tmp_path, monkeypatch) == 1
+        assert f"line 7 is not finite: '{text}'" in capsys.readouterr().err
+        assert not (tmp_path / "nfw.report.json").exists()
+
     def test_bad_eps_exits_one(self, tmp_path, monkeypatch):
         code = run_cli(
             ["stability", "--eps", "1e-3,1e-2", "--N", "80", "--output", "x"],
@@ -269,7 +316,7 @@ class TestCommands:
         (["semicont", "--invariance-tol", "nan"], "invariance_tol"),
         (["beurling-index", "--min-sep", "nan"], "min_sep"),
         (["beurling-check", "--trend-tol", "inf"], "trend_tol"),
-        (["radii", "--rank-tol", "nan"], "rank_tol"),
+        (["semicont", "--rank-tol", "nan"], "rank_tol"),
     ])
     def test_non_finite_input_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
         code = run_cli(argv + ["--output", "nf"], tmp_path, monkeypatch)
@@ -299,7 +346,7 @@ class TestCommands:
         (["semicont", "--rank-tol", "0"], "rank_tol must lie in (0, 1)"),
         (["semicont", "--rank-tol", "1"], "rank_tol must lie in (0, 1)"),
         (["beurling-index", "--rank-tol=-1e-8"], "rank_tol must lie in (0, 1)"),
-        (["stability", "--rank-tol", "2.5"], "rank_tol must lie in (0, 1)"),
+        (["beurling-index", "--rank-tol", "2.5"], "rank_tol must lie in (0, 1)"),
         (["semicont", "--invariance-tol", "0"], "invariance_tol must be positive"),
         (["semicont", "--invariance-tol=-1e-3"], "invariance_tol must be positive"),
         (["semicont", "--invariance-tol", "-1e-3"], "invariance_tol must be positive"),

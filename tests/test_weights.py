@@ -11,7 +11,6 @@ from shiftlab.weights import (
     WeightDataError,
     WeightSequence,
     classify,
-    omega_s_increasing_tail,
     polynomial_weight,
     radius_estimates,
 )
@@ -21,22 +20,33 @@ BER = WeightSequence.preset("bergman")
 QAS = WeightSequence.preset("quasianalytic_sqrt")
 
 
+def omega(w, n):
+    """omega(n), read from the log-omega table."""
+    return math.exp(w.log_omega_array(n + 1)[n])
+
+
+def alpha(w, n):
+    """alpha_n, read from the alpha table."""
+    return float(w.alpha_array(n + 1)[n])
+
+
+def pi(w, n):
+    """pi_n = alpha_0 ... alpha_{n-1}, read from the log-pi table."""
+    return math.exp(w.log_pi_array(n)[n])
+
+
 class TestOmegaAlpha:
     def test_omega_presets(self):
-        assert UNW.omega_at(7) == 1.0
-        assert QAS.omega_at(4) == pytest.approx(math.exp(2.0), rel=1e-15)
-        assert BER.omega_at(3) == pytest.approx(2.0, rel=1e-15)
+        assert omega(UNW, 7) == 1.0
+        assert omega(QAS, 4) == pytest.approx(math.exp(2.0), rel=1e-15)
+        assert omega(BER, 3) == pytest.approx(2.0, rel=1e-15)
         for w in (UNW, BER, QAS):
-            assert w.omega_at(0) == 1.0
+            assert omega(w, 0) == 1.0
 
     def test_alpha_presets(self):
-        assert UNW.alpha_at(12) == 1.0
-        assert BER.alpha_at(0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert QAS.alpha_at(0) == pytest.approx(math.e, rel=1e-15)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            UNW.omega_at(-1)
+        assert alpha(UNW, 12) == 1.0
+        assert alpha(BER, 0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert alpha(QAS, 0) == pytest.approx(math.e, rel=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -44,47 +54,47 @@ class TestOmegaAlpha:
         # holds for the kinds defined through omega; bergman is stored
         # through its shift weights instead (see below)
         for w in (UNW, QAS):
-            ratio = w.omega_at(n + 1) / w.omega_at(n)
-            assert abs(w.alpha_at(n) - ratio) <= 1e-12 * ratio
+            ratio = omega(w, n + 1) / omega(w, n)
+            assert abs(alpha(w, n) - ratio) <= 1e-12 * ratio
 
     @given(st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=40, deadline=None)
     def test_bergman_omega_is_reciprocal_product(self, n):
         # omega(n) = 1/pi_n keeps omega >= 1 while alpha stays the
         # decreasing sequence sqrt((n+1)/(n+2))
-        assert BER.omega_at(n) == pytest.approx(1.0 / BER.pi_product(n), rel=1e-12)
-        assert BER.alpha_at(n) == pytest.approx(math.sqrt((n + 1) / (n + 2)), rel=1e-14)
+        assert omega(BER, n) == pytest.approx(1.0 / pi(BER, n), rel=1e-12)
+        assert alpha(BER, n) == pytest.approx(math.sqrt((n + 1) / (n + 2)), rel=1e-14)
 
     def test_explicit_ratio(self):
         w = polynomial_weight(1.0, 64)
         for n in range(30):
-            ratio = w.omega_at(n + 1) / w.omega_at(n)
-            assert abs(w.alpha_at(n) - ratio) <= 1e-12 * ratio
+            ratio = omega(w, n + 1) / omega(w, n)
+            assert abs(alpha(w, n) - ratio) <= 1e-12 * ratio
 
 
 class TestPiProduct:
     def test_empty_product(self):
         for w in (UNW, BER, QAS):
-            assert w.pi_product(0) == 1.0
+            assert pi(w, 0) == 1.0
 
     def test_telescoping_values(self):
-        assert BER.pi_product(8) == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert QAS.pi_product(9) == pytest.approx(math.exp(3.0), rel=1e-12)
+        assert pi(BER, 8) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert pi(QAS, 9) == pytest.approx(math.exp(3.0), rel=1e-12)
 
     @given(st.integers(min_value=0, max_value=9_999))
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, n):
         for w in (UNW, BER, QAS):
-            lhs = w.pi_product(n + 1)
-            rhs = w.pi_product(n) * w.alpha_at(n)
+            lhs = pi(w, n + 1)
+            rhs = pi(w, n) * alpha(w, n)
             assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_recurrence_every_index_to_1e4(self):
         # exhaustive vectorized form of the sampled checks above
         for w in (UNW, BER, QAS):
-            pi = np.exp(w.log_pi_array(10_000))
-            alpha = w.alpha_array(10_000)
-            assert np.allclose(pi[1:], pi[:-1] * alpha, rtol=1e-12, atol=0)
+            pi_table = np.exp(w.log_pi_array(10_000))
+            alpha_table = w.alpha_array(10_000)
+            assert np.allclose(pi_table[1:], pi_table[:-1] * alpha_table, rtol=1e-12, atol=0)
         for w in (UNW, QAS):
             log_omega = w.log_omega_array(10_002)
             ratio = np.exp(np.diff(log_omega))
@@ -118,14 +128,12 @@ class TestLogOmegaTable:
             assert w.r_point(N) == radius_estimates(w, N).r_point
 
     def test_explicit_accessors_close_to_the_table(self):
-        # omega_at and alpha_at exponentiate the log tables, so on an explicit
-        # table they may miss the stored values by a few ulp (822 of these 999
-        # omega values do; the worst relative gap is 8.9e-16, for alpha)
+        # the omega and alpha tables exponentiate log tables, so on an explicit
+        # table they may miss the stored values by a few ulp
         values = np.arange(1.0, 1001.0)
         w = WeightSequence.from_values(values)
-        for n in range(999):
-            assert w.omega_at(n) == pytest.approx(values[n], rel=2e-15, abs=0)
-            assert w.alpha_at(n) == pytest.approx(values[n + 1] / values[n], rel=2e-15, abs=0)
+        assert np.allclose(np.exp(w.log_omega_array(999)), values[:999], rtol=2e-15, atol=0)
+        assert np.allclose(w.alpha_array(999), values[1:] / values[:-1], rtol=2e-15, atol=0)
 
     def test_log_pi_reads_the_cumulative_table(self):
         for w in (UNW, BER, QAS):
@@ -141,8 +149,8 @@ class TestRadiusEstimates:
     def test_bergman_inner_radius(self):
         # independent oracle: direct geometric means over all windows
         N, L = 256, 16
-        alpha = np.array([BER.alpha_at(k) for k in range(N)])
-        gms = [np.prod(alpha[k : k + L]) ** (1.0 / L) for k in range(N - L + 1)]
+        alphas = BER.alpha_array(N)
+        gms = [np.prod(alphas[k : k + L]) ** (1.0 / L) for k in range(N - L + 1)]
         est = radius_estimates(BER, N)
         assert est.window_len == L
         assert est.r0 == pytest.approx(min(gms), rel=1e-10)
@@ -197,10 +205,6 @@ class TestClassify:
         with pytest.raises(WeightDataError):
             classify(w, 256)
 
-    def test_omega_s_monotone_tail(self):
-        assert omega_s_increasing_tail(polynomial_weight(3.0, 256), 2, 256)
-        assert not omega_s_increasing_tail(UNW, 2, 256)
-
 
 tables = st.lists(st.floats(min_value=1.0, max_value=1e300), min_size=1, max_size=40).map(lambda t: [1.0] + t)
 
@@ -211,7 +215,7 @@ class TestExplicitData:
         path.write_text("\n".join(str(float(n + 1)) for n in range(32)), encoding="utf-8")
         w = WeightSequence.from_file(path)
         assert w.kind == "explicit"
-        assert w.omega_at(5) == 6.0
+        assert omega(w, 5) == 6.0
         assert w.max_index_hint == 31
 
     def test_first_line_must_be_one(self, tmp_path):
@@ -238,7 +242,7 @@ class TestExplicitData:
         path.write_text("1.0\n2.0\n4.0\n\n", encoding="utf-8")
         w = WeightSequence.from_file(path)
         assert w.max_index_hint == 2
-        assert w.omega_at(2) == pytest.approx(4.0, rel=1e-15)
+        assert omega(w, 2) == pytest.approx(4.0, rel=1e-15)
 
     @given(tables, st.integers(min_value=0, max_value=2))
     @settings(max_examples=60, deadline=None)
@@ -266,11 +270,23 @@ class TestExplicitData:
         with pytest.raises(ValueError):
             WeightSequence.from_values([1.0, 0.5, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_is_named(self, bad):
+        with pytest.raises(ValueError, match=r"omega\(2\) = .* is not finite"):
+            WeightSequence.from_values([1.0, 2.0, bad, 4.0])
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_line_is_named(self, tmp_path, text):
+        path = tmp_path / "w.txt"
+        path.write_text(f"1.0\n2.0\n{text}\n4.0\n", encoding="utf-8")
+        with pytest.raises(WeightDataError, match="line 2 is not finite"):
+            WeightSequence.from_file(path)
+
     def test_beyond_hint(self):
         w = WeightSequence.from_values([1.0, 2.0, 3.0])
-        assert w.alpha_at(1) == pytest.approx(1.5)
+        assert alpha(w, 1) == pytest.approx(1.5)
         with pytest.raises(WeightDataError):
-            w.alpha_at(2)  # needs omega(3)
+            alpha(w, 2)  # needs omega(3)
 
     def test_hint_is_read_from_the_table(self):
         w = WeightSequence.from_values([1.0, 2.0, 3.0])
