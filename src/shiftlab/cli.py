@@ -8,8 +8,9 @@ verdict, 2 when a verdict fails, 1 for configuration or runtime errors.
 Complex scalars on the command line use the a+bi syntax with no spaces,
 e.g. 0.3, -0.4i, 0.5+0.2i; there and in float lists ASCII or U+2212
 minus are both accepted, and a value may begin with a minus sign
-(--zeros -0.5,0.3i). Every option's default lives in RunConfig.
-The environment variable SHIFTLAB_SEED overrides any configured seed.
+(--zeros -0.5,0.3i). Every option's default lives in RunConfig, and READS
+names the keys each command reads: its options, its checks and its echoed
+inputs. SHIFTLAB_SEED overrides the seed of the commands that take --seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import cmath
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,6 @@ from . import weights as wt
 from .operators import jordan_chain, shift_window
 from .report import VERDICT_FAIL, VERDICT_PASS, ExperimentReport
 from .subspaces import vanishing_subspace
-
-COMMANDS = ("classify", "radii", "chain", "stability", "semicont", "beurling-index", "beurling-check")
 
 DEFAULT_N = {
     "classify": 4096,
@@ -71,6 +70,40 @@ def parse_float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
+# RunConfig key -> (flag, type) of its option; --output is the one option every command takes
+OPTIONS = {
+    "weight": ("--weight", str),
+    "N": ("--N", int),
+    "seed": ("--seed", int),
+    "rank_tol": ("--rank-tol", float),
+    "window_len": ("--window-len", int),
+    "lam": ("--lambda", parse_complex),
+    "m": ("--m", int),
+    "p_roots": ("--p-roots", parse_complex_list),
+    "eps": ("--eps", parse_float_list),
+    "trials": ("--trials", int),
+    "zeros": ("--zeros", parse_complex_list),
+    "invariance_tol": ("--invariance-tol", float),
+    "n_sets": ("--sets", int),
+    "min_sep": ("--min-sep", float),
+    "degree": ("--degree", int),
+    "batch": ("--batch", int),
+    "trend_tol": ("--trend-tol", float),
+}
+
+# command -> the RunConfig keys its runner reads: its options, its checks and its echoed inputs
+READS = {
+    "classify": ("weight", "N"),
+    "radii": ("weight", "N", "window_len"),
+    "chain": ("weight", "N", "lam", "m"),
+    "stability": ("weight", "N", "seed", "p_roots", "eps"),
+    "semicont": ("weight", "N", "seed", "rank_tol", "p_roots", "eps", "trials", "zeros", "invariance_tol"),
+    "beurling-index": ("N", "seed", "rank_tol", "zeros", "n_sets", "min_sep"),
+    "beurling-check": ("weight", "seed", "degree", "batch", "trend_tol"),
+}
+COMMANDS = tuple(READS)
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run configuration; every knob has a default."""
@@ -100,32 +133,36 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
 
     def resolved(self) -> "RunConfig":
-        if self.N is None and self.command in DEFAULT_N:
+        reads = READS[self.command]
+        if "N" in reads and self.N is None:
             self.N = DEFAULT_N[self.command]
-        if self.eps is None:
+        if "eps" in reads and self.eps is None:
             self.eps = DEFAULT_SEMICONT_EPS if self.command == "semicont" else DEFAULT_STABILITY_EPS
-        env_seed = os.environ.get("SHIFTLAB_SEED")
+        env_seed = os.environ.get("SHIFTLAB_SEED") if "seed" in reads else None
         if env_seed is not None:
             try:
                 self.seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"SHIFTLAB_SEED must be an integer, got {env_seed!r}") from exc
-        if self.seed < 0:
+        if "seed" in reads and self.seed < 0:
             key = "seed" if env_seed is None else "SHIFTLAB_SEED"
             raise ConfigError(f"{key} must be non-negative, got {self.seed}")
+        for key in ("eps", "p_roots"):
+            if key in reads and not getattr(self, key):
+                raise ConfigError(f"{key} must list at least one value")
         for key in ("trials", "n_sets", "batch", "degree"):
-            if getattr(self, key) < 1:
+            if key in reads and getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in FINITE_KEYS:
             value = getattr(self, key)
             values = value if isinstance(value, (tuple, list)) else [value]
-            if not all(v is None or cmath.isfinite(v) for v in values):
+            if key in reads and not all(v is None or cmath.isfinite(v) for v in values):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
-        if not 0.0 < self.rank_tol < 1.0:
+        if "rank_tol" in reads and not 0.0 < self.rank_tol < 1.0:
             raise ConfigError(f"rank_tol must lie in (0, 1), got {self.rank_tol!r}")
-        if not self.invariance_tol > 0.0:
+        if "invariance_tol" in reads and not self.invariance_tol > 0.0:
             raise ConfigError(f"invariance_tol must be positive, got {self.invariance_tol!r}")
-        if not self.min_sep > 0.0:
+        if "min_sep" in reads and not self.min_sep > 0.0:
             raise ConfigError(f"min_sep must be positive, got {self.min_sep!r}")
         return self
 
@@ -146,11 +183,7 @@ def load_weight(spec: str) -> wt.WeightSequence:
 
 
 def _echo_config(config: RunConfig) -> dict:
-    echo = asdict(config)
-    echo["eps"] = list(config.eps) if config.eps is not None else None
-    echo["p_roots"] = list(config.p_roots)
-    echo["zeros"] = list(config.zeros) if config.zeros is not None else None
-    return echo
+    return {key: getattr(config, key) for key in ("command", "output") + READS[config.command]}
 
 
 # -- command implementations -----------------------------------------------------
@@ -160,7 +193,6 @@ def _run_classify(config: RunConfig) -> ExperimentReport:
     rep = wt.classify(w, config.N)
     return ExperimentReport(
         experiment="classify",
-        inputs=_echo_config(config),
         per_step=[{"N": n, "partial_sum": s} for n, s in rep.quasianalytic_partial_sums],
         fitted_slope=rep.fit_slope,
         metrics={
@@ -182,7 +214,6 @@ def _run_radii(config: RunConfig) -> ExperimentReport:
     est = wt.radius_estimates(w, config.N, window_len=config.window_len)
     return ExperimentReport(
         experiment="radii",
-        inputs=_echo_config(config),
         per_step=[],
         fitted_slope=None,
         metrics={
@@ -210,7 +241,6 @@ def _run_chain(config: RunConfig) -> ExperimentReport:
         })
     return ExperimentReport(
         experiment="chain",
-        inputs=_echo_config(config),
         per_step=per_step,
         fitted_slope=None,
         metrics={
@@ -225,9 +255,7 @@ def _run_chain(config: RunConfig) -> ExperimentReport:
 def _run_stability(config: RunConfig) -> ExperimentReport:
     w = load_weight(config.weight)
     plan = st.PerturbationPlan(kind="dense_random", epsilon_schedule=config.eps, seed=config.seed)
-    rep = st.norm_stability_run(w, config.p_roots, plan, N=config.N)
-    rep.inputs = _echo_config(config)
-    return rep
+    return st.norm_stability_run(w, config.p_roots, plan, N=config.N)
 
 
 def _run_semicont(config: RunConfig) -> ExperimentReport:
@@ -238,12 +266,10 @@ def _run_semicont(config: RunConfig) -> ExperimentReport:
     M_in = vanishing_subspace(zeros, config.N)
     M_out = vanishing_subspace(zeros, config.N + 1)
     plan = st.PerturbationPlan(kind="weight_jitter", epsilon_schedule=config.eps, seed=config.seed)
-    rep = st.semicontinuity_run(
+    return st.semicontinuity_run(
         T, M_in, M_out, plan, config.trials,
         rank_tol=config.rank_tol, invariance_tol=config.invariance_tol,
     )
-    rep.inputs = _echo_config(config)
-    return rep
 
 
 def _run_beurling_index(config: RunConfig) -> ExperimentReport:
@@ -252,9 +278,7 @@ def _run_beurling_index(config: RunConfig) -> ExperimentReport:
     else:
         sets = st.random_zero_sets(config.n_sets, config.seed, min_separation=config.min_sep)
     _check_window_fits(config.N, max(len(zs) for zs in sets))
-    rep = st.beurling_index_sweep(sets, config.N, rank_tol=config.rank_tol)
-    rep.inputs = _echo_config(config)
-    return rep
+    return st.beurling_index_sweep(sets, config.N, rank_tol=config.rank_tol)
 
 
 def _run_beurling_check(config: RunConfig) -> ExperimentReport:
@@ -286,7 +310,6 @@ def _run_beurling_check(config: RunConfig) -> ExperimentReport:
     ok = growth <= config.trend_tol and shrink <= config.trend_tol and ratios_ok
     return ExperimentReport(
         experiment="beurling_check",
-        inputs=_echo_config(config),
         per_step=per_step,
         fitted_slope=None,
         metrics={
@@ -316,6 +339,7 @@ def run(config: RunConfig) -> int:
     try:
         config = config.resolved()
         report = _RUNNERS[config.command](config)
+        report.inputs = _echo_config(config)
         paths = report.write(config.output)
     except ConfigError as exc:
         print(f"[shiftlab] config error: {exc}", file=sys.stderr)
@@ -343,38 +367,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftlab", description="Weighted-shift numerical laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        # each command takes only the options its runner reads
+    for name, reads in READS.items():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--output", help="output path prefix")
-        if name != "beurling-index":
-            p.add_argument("--weight", help="preset name or weight file path")
-        if name != "beurling-check":
-            p.add_argument("--N", type=int)
-        if name in ("stability", "semicont", "beurling-index", "beurling-check"):
-            p.add_argument("--seed", type=int)
-        if name in ("semicont", "beurling-index"):
-            p.add_argument("--rank-tol", type=float, dest="rank_tol")
-        if name == "radii":
-            p.add_argument("--window-len", type=int, dest="window_len")
-        if name == "chain":
-            p.add_argument("--lambda", dest="lam", type=parse_complex)
-            p.add_argument("--m", type=int)
-        if name in ("stability", "semicont"):
-            p.add_argument("--p-roots", dest="p_roots", type=parse_complex_list)
-            p.add_argument("--eps", type=parse_float_list)
-        if name == "semicont":
-            p.add_argument("--trials", type=int)
-            p.add_argument("--zeros", type=parse_complex_list)
-            p.add_argument("--invariance-tol", type=float, dest="invariance_tol")
-        if name == "beurling-index":
-            p.add_argument("--zeros", type=parse_complex_list)
-            p.add_argument("--sets", type=int, dest="n_sets")
-            p.add_argument("--min-sep", type=float, dest="min_sep")
-        if name == "beurling-check":
-            p.add_argument("--degree", type=int)
-            p.add_argument("--batch", type=int)
-            p.add_argument("--trend-tol", type=float, dest="trend_tol")
+        for key in reads:
+            flag, kind = OPTIONS[key]
+            p.add_argument(flag, dest=key, type=kind)
     return parser
 
 

@@ -72,29 +72,18 @@ def canonical_json(value) -> bytes:
 
 @dataclass
 class ExperimentReport:
-    """Record of one experiment: inputs, per-step metrics, verdict."""
+    """Record of one experiment: inputs (echoed by the CLI), per-step metrics, verdict."""
 
     experiment: str
-    inputs: dict
     per_step: list[dict]
     fitted_slope: float | None
     verdict: str
+    inputs: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     schema: str = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "experiment": self.experiment,
-            "inputs": self.inputs,
-            "per_step": self.per_step,
-            "fitted_slope": self.fitted_slope,
-            "metrics": self.metrics,
-            "verdict": self.verdict,
-        }
-
     def to_json_bytes(self) -> bytes:
-        return canonical_json(self.to_dict())
+        return canonical_json(vars(self))
 
     def write(self, prefix) -> list[Path]:
         """Write <prefix>.report.json and, when steps exist, <prefix>.steps.csv."""

@@ -169,14 +169,6 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
         verdict = VERDICT_FAIL
     return ExperimentReport(
         experiment="norm_stability",
-        inputs={
-            "weight": w.kind,
-            "roots": roots,
-            "plan_kind": plan.kind,
-            "epsilon_schedule": list(plan.epsilon_schedule),
-            "seed": plan.seed,
-            "N": N,
-        },
         per_step=per_step,
         fitted_slope=slope,
         metrics={"failures": failures, "final_distance": distances[-1] if distances else None},
@@ -190,8 +182,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
 def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
                        plan: PerturbationPlan, n_trials: int,
                        rank_tol: float = 1e-8,
-                       invariance_tol: float = DEFAULT_INVARIANCE_TOL,
-                       min_sigma: float = DEFAULT_MIN_SIGMA) -> ExperimentReport:
+                       invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> ExperimentReport:
     """Check the lower-semicontinuity direction of the relative index.
 
     The candidate subspace for each perturbed operator is the original one;
@@ -208,8 +199,8 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
         s_min = float(np.min(np.abs(T.matrix[T.support])))
     else:
         s_min = float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
-    if s_min < min_sigma:
-        raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {min_sigma}")
+    if s_min < DEFAULT_MIN_SIGMA:
+        raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {DEFAULT_MIN_SIGMA}")
     base = rel_index(T, M_in, M_out, tol=rank_tol)
 
     steps = list(plan.epsilon_schedule)
@@ -248,18 +239,6 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     verdict = VERDICT_PASS if violations == 0 and skip_fraction <= MAX_SKIP_FRACTION else VERDICT_FAIL
     return ExperimentReport(
         experiment="index_semicontinuity",
-        inputs={
-            "plan_kind": plan.kind,
-            "epsilon_schedule": steps,
-            "seed": plan.seed,
-            "n_trials": n_trials,
-            "rank_tol": rank_tol,
-            "invariance_tol": invariance_tol,
-            "dim_in": M_in.dim,
-            "dim_out": M_out.dim,
-            "window_rows": T.rows,
-            "window_cols": T.cols,
-        },
         per_step=agg,
         fitted_slope=None,
         metrics={
@@ -342,7 +321,6 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> Experimen
             ok = False
     return ExperimentReport(
         experiment="beurling_index_sweep",
-        inputs={"N": N, "rank_tol": rank_tol, "n_sets": len(per_step)},
         per_step=per_step,
         fitted_slope=None,
         metrics={"all_indices_one": ok},

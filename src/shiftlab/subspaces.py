@@ -393,8 +393,7 @@ def default_cyclic_vector(reference: SubspaceBasis) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
-def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
-                               e: np.ndarray | None = None) -> ReconstructionResult:
+def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow) -> ReconstructionResult:
     """Rebuild the chain-spanned invariant subspace from a window of A.
 
     The reference is the span of the adjoint Jordan chains for `roots`.
@@ -421,12 +420,11 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow,
 
     reference = chain_reference_basis(w, roots, N)
     ref_ortho = orthonormalize(reference)
-    if e is None:
-        e = default_cyclic_vector(reference)
+    e = default_cyclic_vector(reference)
 
     ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots), dim=m)
     K = ker.basis.matrix
-    seed = K @ (K.conj().T @ np.asarray(e, dtype=np.complex128))
+    seed = K @ (K.conj().T @ e)
     if np.linalg.norm(seed) < GS_DEPENDENCE_TOL:
         raise CyclicityError(0, m)
     span = krylov_span(A, seed, m)

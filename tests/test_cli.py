@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 from shiftlab.cli import (
     _RUNNERS,
     COMMANDS,
+    OPTIONS,
+    READS,
     ConfigError,
     RunConfig,
+    _echo_config,
     build_parser,
     main,
     parse_complex,
@@ -112,16 +116,30 @@ class TestParsing:
         assert run_cli(["chain", "--lambda", "--m", "2"], tmp_path, monkeypatch) == 1
         assert "--lambda: expected one argument" in capsys.readouterr().err
 
-    def test_every_option_is_read_by_its_runner(self):
+    def test_every_option_is_read_by_its_runner(self, monkeypatch):
+        monkeypatch.delenv("SHIFTLAB_SEED", raising=False)
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         unread = []
         for command, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+            # the report echoes exactly the options, defaults filled in
+            assert set(_echo_config(RunConfig(command=command).resolved())) == {"command", "output"} | dests
             source = inspect.getsource(_RUNNERS[command])
             for action in sub._actions:
                 if action.option_strings and action.dest not in ("help", "output"):
                     if f"config.{action.dest}" not in source:
                         unread.append((command, action.option_strings[0]))
         assert unread == []
+
+    def test_readme_option_table_is_reads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| command | options |\n| --- | --- |\n")[1].split("\n\n")[0]
+        key_of = {flag: key for key, (flag, _) in OPTIONS.items()}
+        rows = {}
+        for line in table.splitlines():
+            command, *flags = re.findall(r"`([^`]+)`", line)
+            rows[command] = tuple(key_of[flag] for flag in flags)
+        assert rows == READS
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--seed", "1"],
@@ -158,7 +176,17 @@ class TestCommands:
         run_cli(["classify", "--weight", "bergman", "--output", "b"], tmp_path, monkeypatch)
         rep = read_report(tmp_path, "b")
         assert rep["inputs"]["N"] == 4096  # default resolved and echoed
-        assert rep["inputs"]["seed"] == 42
+        assert "seed" not in rep["inputs"]  # classify reads no seed
+
+    @pytest.mark.parametrize("command", ["classify", "radii", "chain"])
+    def test_env_seed_ignored_without_seed_option(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("SHIFTLAB_SEED", raising=False)
+        assert run_cli([command, "--output", "unset"], tmp_path, monkeypatch) == 0
+        want = (tmp_path / "unset.report.json").read_bytes()
+        for value in ("abc", "-3", "9"):
+            monkeypatch.setenv("SHIFTLAB_SEED", value)
+            assert run_cli([command, "--output", "unset"], tmp_path, monkeypatch) == 0
+            assert (tmp_path / "unset.report.json").read_bytes() == want
 
     def test_radii(self, tmp_path, monkeypatch):
         code = run_cli(["radii", "--weight", "bergman", "--N", "256", "--output", "r"], tmp_path, monkeypatch)
@@ -324,6 +352,18 @@ class TestCommands:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "nf.report.json").exists()
 
+    @pytest.mark.parametrize("argv, key", [
+        (["stability", "--eps", ","], "eps"),
+        (["semicont", "--eps", ",", "--trials", "3"], "eps"),
+        (["stability", "--p-roots", ","], "p_roots"),
+        (["semicont", "--p-roots", ","], "p_roots"),
+    ])
+    def test_empty_list_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
+        code = run_cli(argv + ["--output", "empty"], tmp_path, monkeypatch)
+        assert code == 1
+        assert f"config error: {key} must list at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "empty.report.json").exists()
+
     @pytest.mark.parametrize("argv, count", [
         (["semicont", "--N", "2"], 2),
         (["semicont", "--zeros", "0.1,0.2,0.3", "--N", "3"], 3),
@@ -361,7 +401,7 @@ class TestCommands:
 
     def test_tolerance_check_in_resolved(self):
         with pytest.raises(ConfigError, match="rank_tol"):
-            RunConfig(command="radii", rank_tol=0.0).resolved()
+            RunConfig(command="semicont", rank_tol=0.0).resolved()
         with pytest.raises(ConfigError, match="invariance_tol"):
             RunConfig(command="semicont", invariance_tol=0.0).resolved()
         assert RunConfig(command="semicont", rank_tol=0.5, invariance_tol=1e-300).resolved().rank_tol == 0.5
