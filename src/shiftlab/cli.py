@@ -147,8 +147,10 @@ class RunConfig:
         if "seed" in reads and self.seed < 0:
             key = "seed" if env_seed is None else "SHIFTLAB_SEED"
             raise ConfigError(f"{key} must be non-negative, got {self.seed}")
-        for key in ("eps", "p_roots"):
-            if key in reads and not getattr(self, key):
+        for key in ("eps", "p_roots", "zeros"):
+            value = getattr(self, key)
+            unset = key == "zeros" and value is None  # None: the runner picks its zeros
+            if key in reads and not unset and not value:
                 raise ConfigError(f"{key} must list at least one value")
         for key in ("trials", "n_sets", "batch", "degree"):
             if key in reads and getattr(self, key) < 1:

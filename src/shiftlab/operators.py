@@ -1,11 +1,10 @@
 """Finite windows of weighted shifts and adjoint Jordan chains.
 
-Windows are rectangular by design: the shift maps coordinates 0..N-1 into
-0..N exactly, and the adjoint maps 0..N onto 0..N-1 exactly, so neither
-carries truncation error. Edge effects are confined to explicitly reported
-tail bounds. A square adjoint truncation is also provided for polynomial
-evaluation and perturbation experiments, where a square matrix is needed;
-its only inexact row is the last one.
+The shift window is rectangular by design: it maps coordinates 0..N-1
+into 0..N exactly, so it carries no truncation error. Edge effects are
+confined to explicitly reported tail bounds. The adjoint comes as a square
+truncation, for polynomial evaluation and perturbation experiments, where
+a square matrix is needed; its only inexact row is the last one.
 
 Chain vectors follow the normalization that f_{lam,k} has k-1 leading
 zeros and a real positive leading coordinate, which makes the coefficients
@@ -58,9 +57,15 @@ class OperatorWindow:
             self.matrix.flags.writeable = False
 
     @property
-    def covers_columns(self) -> bool:
-        """True when the support has one position in every column."""
-        return self.support is not None and len(self.support[1]) == self.cols
+    def singular_value_range(self) -> tuple[float, float] | None:
+        """(min, max) singular value when the support has one position in every column, else None.
+
+        Such a window has T* T = diag(|s_j|^2), so its singular values are the |s_j| on the support.
+        """
+        if self.support is None or len(self.support[1]) != self.cols:
+            return None
+        mags = np.abs(self.matrix[self.support])
+        return float(mags.min()), float(mags.max())
 
     @property
     def rows(self) -> int:
@@ -92,13 +97,6 @@ def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     return OperatorWindow(M, support=_diagonal_support(alpha, 1, 0))
 
 
-def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
-    """N x (N+1) window of the adjoint: the transpose of shift_window (real weights)."""
-    T = shift_window(w, N)
-    rows, cols = T.support
-    return OperatorWindow(T.matrix.T.copy(), support=(cols, rows))
-
-
 def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
     """N x N truncation of the adjoint (superdiagonal alpha_0 .. alpha_{N-2}).
 
@@ -113,12 +111,6 @@ def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
     alpha = w.alpha_array(N - 1)
     M[k, k + 1] = alpha
     return OperatorWindow(M, support=_diagonal_support(alpha, 0, 1))
-
-
-def apply_adjoint(w: WeightSequence, vec: np.ndarray) -> np.ndarray:
-    """Apply the adjoint to a coordinate vector, dropping the top coordinate."""
-    v = np.asarray(vec, dtype=np.complex128)
-    return w.alpha_array(len(v) - 1) * v[1:]
 
 
 # -- Jordan chains -------------------------------------------------------------
@@ -198,8 +190,8 @@ def _tail_bound(w: WeightSequence, lam: complex, k: int, N: int, r_point: float)
 
 
 def _link_residual(w: WeightSequence, lam: complex, f_next: np.ndarray, f_prev: np.ndarray | None) -> float:
-    """Window norm of (T* - lam) f_next - f_prev over computable coordinates."""
-    y = apply_adjoint(w, f_next) - lam * f_next[:-1]
+    """Window norm of (T* - lam) f_next - f_prev on rows 0..N-2, where (T* f)_n = alpha_n f_{n+1}."""
+    y = w.alpha_array(len(f_next) - 1) * f_next[1:] - lam * f_next[:-1]
     if f_prev is not None:
         y = y - f_prev[:-1]
     return float(np.linalg.norm(y))

@@ -49,6 +49,8 @@ DEFAULT_MIN_SIGMA = 0.1
 MAX_SKIP_FRACTION = 0.1
 INDEX_GAP_FLOOR = 1e3
 ZERO_SET_MIN_SEPARATION = 1e-3
+ZERO_SET_MAX_SIZE = 5
+ZERO_SET_RADIUS = 0.8
 # Candidate points random_zero_sets draws for one set before it gives up; at
 # min_separation 0.5, seeds 0-20 need at most 71 for the 50 default sets.
 ZERO_SET_DRAWS = 10_000
@@ -189,16 +191,13 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     a (trial, step) pair is asserted only once its invariance defect falls
     at or below invariance_tol, which the report makes visible. Trials
     where no step reaches the assertion threshold, or where the transported
-    basis degenerates, are counted as skipped. When T's support covers
-    every column, T* T is diagonal and sigma_min(T) is the smallest
-    |entry| on the support; otherwise it comes from a dense SVD.
+    basis degenerates, are counted as skipped. sigma_min(T) is read from
+    T.singular_value_range when T has one, and from a dense SVD otherwise.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if T.covers_columns:
-        s_min = float(np.min(np.abs(T.matrix[T.support])))
-    else:
-        s_min = float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
+    bounds = T.singular_value_range
+    s_min = bounds[0] if bounds is not None else float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
     if s_min < DEFAULT_MIN_SIGMA:
         raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {DEFAULT_MIN_SIGMA}")
     base = rel_index(T, M_in, M_out, tol=rank_tol)
@@ -253,8 +252,8 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
 
 # -- zero-based index sweep ---------------------------------------------------------
 
-def random_zero_sets(n_sets: int, seed: int, max_size: int = 5, radius: float = 0.8,
-                     min_separation: float = 1e-2) -> list[list[complex]]:
+def random_zero_sets(n_sets: int, seed: int, max_size: int = ZERO_SET_MAX_SIZE,
+                     radius: float = ZERO_SET_RADIUS, min_separation: float = 1e-2) -> list[list[complex]]:
     """Seeded random zero sets in the given disc, with enforced separation.
 
     Raises ValueError when a set is not complete after ZERO_SET_DRAWS
@@ -295,10 +294,10 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> Experimen
     ok = True
     for i, zeros in enumerate(zero_sets):
         zs = [complex(z) for z in zeros]
-        if len(zs) > 5:
-            raise ValueError(f"zero set {i} has more than 5 points")
-        if any(abs(z) > 0.8 for z in zs):
-            raise ValueError(f"zero set {i} leaves the 0.8 disc")
+        if len(zs) > ZERO_SET_MAX_SIZE:
+            raise ValueError(f"zero set {i} has more than {ZERO_SET_MAX_SIZE} points")
+        if any(abs(z) > ZERO_SET_RADIUS for z in zs):
+            raise ValueError(f"zero set {i} leaves the {ZERO_SET_RADIUS} disc")
         if len(set(zs)) != len(zs):
             raise ValueError(f"zero set {i} has a repeated point")
         min_sep = min(

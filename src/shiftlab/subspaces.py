@@ -25,7 +25,7 @@ from .operators import OperatorWindow, jordan_chain
 from .weights import WeightSequence
 
 DEFAULT_RANK_TOL = 1e-8
-GS_DEPENDENCE_TOL = 1e-10
+DEPENDENCE_TOL = 1e-10
 
 
 class RankDeficiencyError(ValueError):
@@ -71,9 +71,8 @@ class SubspaceBasis:
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod
-    def from_vectors(cls, vectors, orthonormal: bool = False) -> "SubspaceBasis":
-        return cls(np.stack([np.asarray(v, dtype=np.complex128) for v in vectors], axis=1),
-                   orthonormal=orthonormal)
+    def from_vectors(cls, vectors) -> "SubspaceBasis":
+        return cls(np.stack([np.asarray(v, dtype=np.complex128) for v in vectors], axis=1))
 
     @property
     def ambient_dim(self) -> int:
@@ -99,38 +98,38 @@ def projection_from_orthonormal(Q: np.ndarray) -> Projection:
     return Projection(matrix=Q @ Q.conj().T, rank=Q.shape[1])
 
 
-def gram_schmidt_projection(basis: SubspaceBasis, dependence_tol: float = GS_DEPENDENCE_TOL) -> tuple[SubspaceBasis, Projection]:
+def gram_schmidt_projection(basis: SubspaceBasis) -> tuple[SubspaceBasis, Projection]:
     """Orthonormal basis of the span and its orthogonal projection.
 
     Rejects rank-deficient input as orthonormalize does; like it, it
     trusts a basis flagged orthonormal and returns it as is, unchecked.
     """
-    ortho = orthonormalize(basis, dependence_tol)
+    ortho = orthonormalize(basis)
     return ortho, projection_from_orthonormal(ortho.matrix)
 
 
-def orthonormalize(basis: SubspaceBasis, dependence_tol: float = GS_DEPENDENCE_TOL) -> SubspaceBasis:
+def orthonormalize(basis: SubspaceBasis) -> SubspaceBasis:
     """Orthonormal basis of the same span, via Householder QR.
 
     Rejects the first column j whose |R_jj|, the norm of its residual
-    after projecting out columns 0 .. j-1, falls below dependence_tol
-    times its original norm. An orthonormal basis is returned as itself.
-    Otherwise the result is cached on `basis` per dependence_tol, so
-    repeated calls with the same basis cost one QR in total.
+    after projecting out columns 0 .. j-1, falls below DEPENDENCE_TOL
+    times its original norm; the error's index j is the dimension that
+    columns 0 .. j-1 span. An orthonormal basis is returned as itself.
+    Otherwise the result is cached on `basis`, so repeated calls with the
+    same basis cost one QR in total.
     """
     if basis.orthonormal:
         return basis
-    key = ("orthonormalize", dependence_tol)
-    cached = basis._cache.get(key)
+    cached = basis._cache.get("orthonormalize")
     if cached is not None:
         return cached
     Q, R = np.linalg.qr(basis.matrix)
     diag = np.abs(np.diag(R))
     norms = np.linalg.norm(basis.matrix, axis=0)
     for j in range(basis.dim):
-        if diag[j] < dependence_tol * max(norms[j], 1e-300):
+        if diag[j] < DEPENDENCE_TOL * max(norms[j], 1e-300):
             raise RankDeficiencyError(j, float(diag[j] / max(norms[j], 1e-300)))
-    result = basis._cache[key] = SubspaceBasis(Q, orthonormal=True)
+    result = basis._cache["orthonormalize"] = SubspaceBasis(Q, orthonormal=True)
     return result
 
 
@@ -227,11 +226,9 @@ def _certified_full_rank(T: OperatorWindow, tol: float) -> bool:
     rule s_i > tol s_0 true for the computed singular values too, whose
     rounding error is of order n eps max |s_j|.
     """
-    if not T.covers_columns:
-        return False
-    mags = np.abs(T.matrix[T.support])
+    bounds = T.singular_value_range
     margin = 2.0 * max(tol, max(T.rows, T.cols) * np.finfo(float).eps)
-    return bool(mags.min() > margin * mags.max())
+    return bounds is not None and bounds[0] > margin * bounds[1]
 
 
 def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
@@ -293,16 +290,11 @@ def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:
 
 # -- polynomial kernels and Krylov spans -----------------------------------------
 
-def _poly_coeffs(p) -> np.ndarray:
-    coeffs = getattr(p, "coeffs", p)
-    return np.asarray(coeffs, dtype=np.complex128)
-
-
-def polynomial_of_window(A: OperatorWindow, p) -> OperatorWindow:
-    """Evaluate p(A) by Horner's rule on a square window."""
+def polynomial_of_window(A: OperatorWindow, coeffs) -> OperatorWindow:
+    """Evaluate p(A) by Horner's rule on a square window; coeffs[k] multiplies z^k."""
     if not A.is_square:
         raise ValueError("polynomial evaluation needs a square window")
-    coeffs = _poly_coeffs(p)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(coeffs) == 0:
         return OperatorWindow(np.zeros_like(A.matrix))
     eye = np.eye(A.rows, dtype=np.complex128)
@@ -318,13 +310,13 @@ class KernelSpan:
     kernel_singular_values: np.ndarray
 
 
-def kernel_of_polynomial(A: OperatorWindow, p, dim: int) -> KernelSpan:
-    """Numerical kernel of p(A): the dim smallest right singular vectors.
+def kernel_of_polynomial(A: OperatorWindow, coeffs, dim: int) -> KernelSpan:
+    """Numerical kernel of p(A), p given by its coefficients: the dim smallest right singular vectors.
 
     The kernel dimension is forced, for settings where it is known a
     priori and survives perturbations that would defeat a fixed threshold.
     """
-    coeffs = _poly_coeffs(p)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(coeffs) < 2:
         raise ValueError("polynomial degree must be >= 1")
     P = polynomial_of_window(A, coeffs)
@@ -335,12 +327,13 @@ def kernel_of_polynomial(A: OperatorWindow, p, dim: int) -> KernelSpan:
     return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - dim:])
 
 
-def krylov_span(A: OperatorWindow, v: np.ndarray, m: int,
-                dependence_tol: float = GS_DEPENDENCE_TOL) -> SubspaceBasis:
-    """Orthonormal basis of span{v, Av, ..., A^(m-1) v}.
+def krylov_span(A: OperatorWindow, v: np.ndarray, m: int) -> SubspaceBasis:
+    """Orthonormal basis of span{v, Av, ..., A^(m-1) v}, by orthonormalize.
 
-    Stops early (smaller dimension) when a new power falls into the span
-    of the previous ones; callers detect the drop from basis.dim.
+    The columns v / |v|, A v / |v|, ..., A^(m-1) v / |v| go through the
+    one orthonormalizer, so a power that falls into the span of the
+    previous ones raises RankDeficiencyError, whose index is the
+    dimension the span reached.
     """
     if not A.is_square:
         raise ValueError("Krylov span needs a square window")
@@ -350,23 +343,11 @@ def krylov_span(A: OperatorWindow, v: np.ndarray, m: int,
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValueError("Krylov seed vector is zero")
-    cols = [v / nv]
-    cur = v / nv
-    for _ in range(m - 1):
-        cur = A.matrix @ cur
-        original = np.linalg.norm(cur)
-        if original == 0.0:
-            break
-        u = cur.copy()
-        for _ in range(2):
-            for q in cols:
-                u -= (q.conj() @ u) * q
-        resid = np.linalg.norm(u)
-        if resid < dependence_tol * original:
-            break
-        cols.append(u / resid)
-        cur = u / resid
-    return SubspaceBasis.from_vectors(cols, orthonormal=True)
+    K = np.empty((len(v), m), dtype=np.complex128)
+    K[:, 0] = v / nv
+    for j in range(1, m):
+        K[:, j] = A.matrix @ K[:, j - 1]
+    return orthonormalize(SubspaceBasis(K))
 
 
 # -- chain-subspace reconstruction ------------------------------------------------
@@ -401,7 +382,8 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow) -> R
     (dimension forced to deg p), seeds a Krylov span with the cyclic
     vector projected onto that kernel, K (K* e) for its orthonormal basis
     K, and reports the projection-norm distance to the reference. A is
-    typically a perturbed square adjoint window.
+    typically a perturbed square adjoint window. A seed below
+    DEPENDENCE_TOL or a Krylov span short of deg p raises CyclicityError.
     """
     roots = [complex(r) for r in roots]
     m = len(roots)
@@ -422,14 +404,15 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow) -> R
     ref_ortho = orthonormalize(reference)
     e = default_cyclic_vector(reference)
 
-    ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots), dim=m)
+    ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots).coeffs, dim=m)
     K = ker.basis.matrix
     seed = K @ (K.conj().T @ e)
-    if np.linalg.norm(seed) < GS_DEPENDENCE_TOL:
+    if np.linalg.norm(seed) < DEPENDENCE_TOL:
         raise CyclicityError(0, m)
-    span = krylov_span(A, seed, m)
-    if span.dim < m:
-        raise CyclicityError(span.dim, m)
+    try:
+        span = krylov_span(A, seed, m)
+    except RankDeficiencyError as exc:
+        raise CyclicityError(exc.index, m) from exc
     dist = projection_distance(span, ref_ortho)
     return ReconstructionResult(
         reference=ref_ortho,

@@ -26,6 +26,7 @@ KINDS = PRESET_KINDS + ("explicit",)
 
 MIN_RADIUS_WINDOW = 64
 CLASSIFY_CHECKPOINTS = (64, 256, 1024, 4096)
+CLASSIFY_S_VALUES = (1, 2, 3)
 DIVERGENCE_SLOPE_THRESHOLD = 0.1
 DECAY_RATIO_THRESHOLD = 0.9
 FLAT_SUM_TOL = 1e-9
@@ -163,12 +164,6 @@ class WeightSequence:
         return lo, hi
 
 
-def polynomial_weight(exponent: float, n_max: int) -> WeightSequence:
-    """Explicit sequence omega(n) = (n+1)^exponent, tabulated up to n_max."""
-    n = np.arange(n_max + 1, dtype=float)
-    return WeightSequence.from_values((n + 1.0) ** exponent)
-
-
 # -- spectral radius surrogates ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -234,7 +229,7 @@ def _divided_second_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return right - left
 
 
-def _divergence_verdict(sums: list[float], checkpoints: list[int]) -> tuple[str, float, list[float]]:
+def _divergence_verdict(sums: list[float], points: list[int]) -> tuple[str, float, list[float]]:
     """Three-way finite-sample verdict for sum log omega(n)/(n^(3/2)+1).
 
     Divergence of an infinite series is undecidable from finitely many
@@ -247,7 +242,7 @@ def _divergence_verdict(sums: list[float], checkpoints: list[int]) -> tuple[str,
     s = np.asarray(sums, dtype=float)
     slope = 0.0
     if len(s) >= 2:
-        slope = float(np.polyfit(np.log(checkpoints), s, 1)[0])
+        slope = float(np.polyfit(np.log(points), s, 1)[0])
     increments = np.diff(s)
     ratios = []
     for i in range(1, len(increments)):
@@ -264,27 +259,21 @@ def _divergence_verdict(sums: list[float], checkpoints: list[int]) -> tuple[str,
     return "inconclusive", slope, ratios
 
 
-def classify(
-    w: WeightSequence,
-    N: int,
-    tail_start: int | None = None,
-    s_values: tuple[int, ...] = (1, 2, 3),
-    checkpoints: tuple[int, ...] = CLASSIFY_CHECKPOINTS,
-) -> ClassificationReport:
+def classify(w: WeightSequence, N: int) -> ClassificationReport:
     """Check the quasianalyticity hypothesis bundle on the window [0, N].
 
     Log-convexity is the condition that log omega is convex as a function
     of log n (the continuous-extension form); it is checked through divided
-    second differences against log n on the tail [tail_start, N]. The
-    omega_s checks test concavity of log(omega(n) (1+n)^(-s)) on the same
-    tail, which is the form the convolution estimates actually consume;
-    plain concavity of omega_s itself fails even for omega = exp(sqrt(n)).
+    second differences against log n on the tail [N // 2, N]. The omega_s
+    checks (s in CLASSIFY_S_VALUES) test concavity of log(omega(n) (1+n)^(-s))
+    on the same tail, which is the form the convolution estimates actually
+    consume; plain concavity of omega_s itself fails even for
+    omega = exp(sqrt(n)).
     """
     if N < MIN_RADIUS_WINDOW:
         raise ValueError(f"classification needs N >= {MIN_RADIUS_WINDOW}, got {N}")
     if w.kind == "explicit" and N > w.max_index_hint:
         raise WeightDataError(f"explicit data shorter than N={N} (hint {w.max_index_hint})")
-    tail0 = tail_start if tail_start is not None else N // 2
 
     log_omega = w.log_omega_array(N + 1)
     n = np.arange(N + 1, dtype=float)
@@ -296,18 +285,18 @@ def classify(
     regular = dist[-1] <= dist[0] + 1e-12 and dist[-1] <= 0.2
 
     # log-convexity against log n on the tail
-    tail = np.arange(max(tail0, 1), N + 1)
+    tail = np.arange(N // 2, N + 1)
     d2 = _divided_second_differences(np.log(n[tail]), log_omega[tail])
     log_convex_tail = bool(np.all(d2 >= -SECOND_DIFF_TOL))
 
     # concavity of log omega_s on the tail, per shifted exponent s
     omega_s_concave: dict[int, bool] = {}
-    for s in s_values:
+    for s in CLASSIFY_S_VALUES:
         h = log_omega[tail] - s * np.log1p(n[tail])
-        omega_s_concave[int(s)] = bool(np.all(_second_differences(h) <= SECOND_DIFF_TOL))
+        omega_s_concave[s] = bool(np.all(_second_differences(h) <= SECOND_DIFF_TOL))
 
-    # quasianalytic partial sums at the declared checkpoints
-    pts = [p for p in checkpoints if p <= N]
+    # quasianalytic partial sums at CLASSIFY_CHECKPOINTS
+    pts = [p for p in CLASSIFY_CHECKPOINTS if p <= N]
     if not pts or pts[-1] != N:
         pts.append(N)
     summand = log_omega / (n ** 1.5 + 1.0)
@@ -319,7 +308,7 @@ def classify(
     return ClassificationReport(
         regular=regular,
         log_convex_tail=log_convex_tail,
-        tail_start=int(tail0),
+        tail_start=N // 2,
         omega_s_concave=omega_s_concave,
         quasianalytic_partial_sums=list(zip(pts, sums)),
         divergence_verdict=verdict,

@@ -18,7 +18,9 @@ from shiftlab.beurling import (
     multiply,
 )
 from shiftlab.seeding import TAG_SERIES, stream
-from shiftlab.weights import WeightDataError, WeightSequence, polynomial_weight
+from shiftlab.weights import WeightDataError, WeightSequence
+
+from builders import polynomial_weight
 
 QAS = WeightSequence.preset("quasianalytic_sqrt")
 LINEAR = polynomial_weight(1.0, 512)  # omega(n) = n + 1

@@ -357,6 +357,8 @@ class TestCommands:
         (["semicont", "--eps", ",", "--trials", "3"], "eps"),
         (["stability", "--p-roots", ","], "p_roots"),
         (["semicont", "--p-roots", ","], "p_roots"),
+        (["semicont", "--zeros", ",", "--trials", "3"], "zeros"),
+        (["beurling-index", "--zeros", ","], "zeros"),
     ])
     def test_empty_list_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
         code = run_cli(argv + ["--output", "empty"], tmp_path, monkeypatch)

@@ -6,7 +6,6 @@ import pytest
 
 from shiftlab.operators import (
     OperatorWindow,
-    adjoint_window,
     adjoint_window_square,
     chain_continuity_probe,
     eigenvector_f1,
@@ -14,6 +13,8 @@ from shiftlab.operators import (
     shift_window,
 )
 from shiftlab.weights import WeightSequence
+
+from builders import adjoint_window
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -75,10 +76,10 @@ class TestSupport:
         assert [r.tolist() for r in np.nonzero(win.matrix)] == [rows.tolist(), cols.tolist()]
 
     def test_only_the_shift_covers_every_column(self):
-        assert shift_window(BER, 9).covers_columns
-        assert not adjoint_window(BER, 9).covers_columns
-        assert not adjoint_window_square(BER, 9).covers_columns
-        assert not OperatorWindow(shift_window(BER, 9).matrix).covers_columns
+        assert shift_window(BER, 9).singular_value_range is not None
+        assert adjoint_window(BER, 9).singular_value_range is None
+        assert adjoint_window_square(BER, 9).singular_value_range is None
+        assert OperatorWindow(shift_window(BER, 9).matrix).singular_value_range is None
 
     def test_matrix_read_only_with_a_support(self):
         win = shift_window(UNW, 4)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from shiftlab.operators import (
     OperatorWindow,
-    adjoint_window,
     adjoint_window_square,
     eigenvector_f1,
     jordan_chain,
@@ -17,6 +16,7 @@ from shiftlab.report import fit_loglog_slope
 from shiftlab.seeding import TAG_BASIS, complex_gaussian, stream
 from shiftlab.stability import PerturbationPlan, perturb
 from shiftlab.subspaces import (
+    CyclicityError,
     IndexResult,
     InvarianceError,
     RankDeficiencyError,
@@ -33,6 +33,8 @@ from shiftlab.subspaces import (
     vanishing_subspace,
 )
 from shiftlab.weights import WeightSequence
+
+from builders import adjoint_window
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -390,7 +392,7 @@ class TestSupportPath:
     def test_empty_column_falls_back(self, monkeypatch):
         N = 20
         A = adjoint_window_square(BER, N)
-        assert A.support is not None and not A.covers_columns
+        assert A.support is not None and A.singular_value_range is None
         M_in = SubspaceBasis(complex_gaussian(stream(8, TAG_BASIS), (N, 6)))
         M_out = SubspaceBasis(np.eye(N, dtype=complex), orthonormal=True)
         assert self.fallback(monkeypatch, A, M_in, M_out).rank == 6
@@ -483,8 +485,9 @@ class TestKrylovSpan:
         N = 100
         A = adjoint_window_square(BER, N)
         f = eigenvector_f1(BER, 0.3, N).vectors[0]
-        span = krylov_span(A, f, 3)
-        assert span.dim == 1
+        with pytest.raises(RankDeficiencyError) as exc:
+            krylov_span(A, f, 3)
+        assert exc.value.index == 1
 
     def test_two_eigenvector_mixture(self):
         N = 200
@@ -510,6 +513,12 @@ class TestKrylovSpan:
 
 
 class TestReconstruction:
+    def test_scalar_window_is_not_cyclic(self):
+        A = OperatorWindow(0.3 * np.eye(20, dtype=complex))
+        with pytest.raises(CyclicityError, match="reached dimension 1, needed 2") as exc:
+            reconstruct_chain_subspace(UNW, [0.3, -0.4], A)
+        assert (exc.value.achieved, exc.value.wanted) == (1, 2)
+
     def test_exact_window_reconstructs_itself(self):
         A = adjoint_window_square(BER, 200)
         rec = reconstruct_chain_subspace(BER, [0.3, -0.4], A)

@@ -11,9 +11,10 @@ from shiftlab.weights import (
     WeightDataError,
     WeightSequence,
     classify,
-    polynomial_weight,
     radius_estimates,
 )
+
+from builders import polynomial_weight
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
