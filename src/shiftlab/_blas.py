@@ -1,4 +1,4 @@
-"""Run the experiment drivers with OpenBLAS on one thread.
+"""Run the experiment drivers, and vanishing_subspace, with OpenBLAS on one thread.
 
 A threaded BLAS splits an SVD or QR differently for each thread count, so
 reports would change in their last digits with OPENBLAS_NUM_THREADS or the

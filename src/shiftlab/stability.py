@@ -105,14 +105,15 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    M = T.matrix.copy()
     if plan.kind == "dense_random":
+        M = T.matrix
         rng = stream(plan.seed, TAG_DENSE, *stream_tags)
         G = complex_gaussian(rng, M.shape)
         G /= np.linalg.norm(G, 2)
         S = M + epsilon * G
         delta = float(np.linalg.norm(S - M, 2))
         return Perturbation(OperatorWindow(S), delta)
+    M = T.matrix.copy()
     rows, cols = T.support if T.support is not None else _structured_positions(T)
     if len(rows) == 0:
         return Perturbation(OperatorWindow(M, support=(rows, cols)), 0.0)

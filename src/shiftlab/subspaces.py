@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .beurling import CoefficientSeries
 from .operators import OperatorWindow, jordan_chain
 from .weights import WeightSequence
@@ -145,17 +146,19 @@ def projection_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     return float(np.linalg.norm(Pa - Pb, 2))
 
 
-def _invariance_defect(img: np.ndarray, out: SubspaceBasis) -> float:
-    """Operator norm of (1 - Q Q*) img, for the orthonormal basis Q of `out`.
+def _invariance_defect(T: OperatorWindow, Q_in: np.ndarray, out: SubspaceBasis) -> float:
+    """Operator norm of (1 - Q Q*) T Q_in, for the orthonormal basis Q of `out`.
 
-    Computed as the norm of W* img, where [Q W] is unitary (Golub & Van
-    Loan, Matrix Computations, 2.5), so the SVD runs on codim(out) rows.
-    W is the tail of a complete QR of Q, computed once and cached on `out`.
+    Computed as the norm of (T* W)* Q_in, where [Q W] is unitary (Golub &
+    Van Loan, Matrix Computations, 2.5), so the product and the SVD run on
+    codim(out) rows and the rows x dim_in image T Q_in is never formed.
+    W is cached on `out`; a basis that did not come with it (as
+    vanishing_subspace's do) gets it from one complete QR of Q.
     """
     W = out._cache.get("complement")
     if W is None:
         W = out._cache["complement"] = np.linalg.qr(out.matrix, mode="complete")[0][:, out.dim:]
-    X = W.conj().T @ img
+    X = _adjoint_image(T, W).conj().T @ Q_in
     return float(np.linalg.norm(X, 2)) if X.size else 0.0
 
 
@@ -168,7 +171,8 @@ class IndexResult:
     gap is the ratio between the smallest kept singular value and the
     largest dropped one (or the decision threshold when nothing was
     dropped); a clean decision has a large gap. It is computed when first
-    read, from the singular values of the image T Q_in kept on the result.
+    read, from the singular values of the image T Q_in, which the result
+    forms from the T and Q_in it keeps.
     When rel_index certified the rank without an SVD, that read runs the
     SVD and raises AssertionError unless it keeps the certified rank.
     Equality compares index, rank, dim_out and defect.
@@ -178,7 +182,8 @@ class IndexResult:
     rank: int
     dim_out: int
     defect: float
-    _image: np.ndarray = field(repr=False, compare=False)
+    _window: OperatorWindow = field(repr=False, compare=False)
+    _basis: np.ndarray = field(repr=False, compare=False)
     _tol: float = field(repr=False, compare=False)
     _sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -186,7 +191,9 @@ class IndexResult:
     def gap(self) -> float:
         if self.rank == 0:
             return math.inf
-        s = self._sigma if self._sigma is not None else np.linalg.svd(self._image, compute_uv=False)
+        s = self._sigma
+        if s is None:
+            s = np.linalg.svd(_window_image(self._window, self._basis), compute_uv=False)
         rank, cutoff = _numerical_rank(s, self._tol)
         if rank != self.rank:
             raise AssertionError(f"certified rank {self.rank}, but the SVD keeps {rank}")
@@ -216,6 +223,16 @@ def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
     return img
 
 
+def _adjoint_image(T: OperatorWindow, W: np.ndarray) -> np.ndarray:
+    """T* W, as a row gather when T has a support (see _window_image)."""
+    if T.support is None:
+        return T.matrix.conj().T @ W
+    rows, cols = T.support
+    img = np.zeros((T.cols, W.shape[1]), dtype=np.complex128)
+    img[cols] = T.matrix[rows, cols].conj()[:, None] * W[rows]
+    return img
+
+
 def _certified_full_rank(T: OperatorWindow, tol: float) -> bool:
     """Whether every singular value of T Q, Q orthonormal, passes the rank rule.
 
@@ -238,54 +255,87 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     Checks T M_in lies inside M_out within invariance_tol (default: tol),
     then counts dim(M_out) - rank(T B_in) with the relative singular value
     threshold tol * sigma_max. The invariance defect is the norm of
-    W* T Q_in for the orthogonal complement W of M_out, a codim x dim_in
+    (T* W)* Q_in for the orthogonal complement W of M_out, a codim x dim_in
     matrix. The orthonormal bases and the complement are cached on M_in
     and M_out, so calls that reuse the same basis objects (as perturbation
-    sweeps do) pay for their QRs once.
+    sweeps do) pay for their QRs once; vanishing_subspace's bases come
+    orthonormal with their complement, so they cost no QR here at all.
 
-    When T carries a support, T Q_in is a row gather rather than a dense
-    product. When that support covers every column and its entries pass
-    min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_full_rank), the
-    rank is dim_in without an SVD; the SVD then runs only if the result's
-    gap is read. Any other window takes the SVD here: a zero or tiny
-    weight (below a tiny tol, the n eps floor of the margin decides), an
-    empty column, or no support.
+    When T carries a support, T* W and T Q_in are row gathers rather than
+    dense products. When that support covers every column and its entries
+    pass min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_full_rank),
+    the rank is dim_in without an SVD, and the image T Q_in is formed, for
+    its SVD, only if the result's gap is read. Any other window takes the
+    SVD here: a zero or tiny weight (below a tiny tol, the n eps floor of
+    the margin decides), an empty column, or no support.
     """
     if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
         raise ValueError("subspace dimensions do not match the window")
     inv_tol = tol if invariance_tol is None else invariance_tol
     Q_in = orthonormalize(M_in).matrix
     out = orthonormalize(M_out)
-    img = _window_image(T, Q_in)
-    defect = _invariance_defect(img, out)
+    defect = _invariance_defect(T, Q_in, out)
     if defect > inv_tol:
         raise InvarianceError(defect, inv_tol)
     dim_out = out.dim
     if Q_in.shape[1] == 0:
-        return IndexResult(dim_out, 0, dim_out, defect, img, tol)
+        return IndexResult(dim_out, 0, dim_out, defect, T, Q_in, tol)
     if _certified_full_rank(T, tol):
         rank = Q_in.shape[1]
-        return IndexResult(dim_out - rank, rank, dim_out, defect, img, tol)
-    s = np.linalg.svd(img, compute_uv=False)
+        return IndexResult(dim_out - rank, rank, dim_out, defect, T, Q_in, tol)
+    s = np.linalg.svd(_window_image(T, Q_in), compute_uv=False)
     rank = _numerical_rank(s, tol)[0]
-    return IndexResult(dim_out - rank, rank, dim_out, defect, img, tol, s)
+    return IndexResult(dim_out - rank, rank, dim_out, defect, T, Q_in, tol, s)
 
 
+def _divided_powers(zeros: list[complex], dim: int) -> np.ndarray:
+    """dim x m block whose column k is the divided difference of n -> z^n over z_0 .. z_k.
+
+    Column 0 holds the powers z_0^n; column k solves
+    G[n, k] = G[n-1, k-1] + z_k G[n-1, k] from G[n, k] = 0 for n < k, which
+    is the convolution of column k-1, shifted down one row, with the powers
+    of z_k. Coincident zeros give derivatives, so G has full rank m. Zeros
+    enter by increasing modulus, so each new column adds the fastest
+    growing powers. The loop carries G[n, k] / r_k^n with
+    r_k = max(1, |z_0|, ..., |z_k|), and column k comes out divided by
+    r_k^(dim-1): a column scale keeps the span, and no power overflows for
+    zeros outside the unit disc.
+    """
+    zeros = sorted(zeros, key=abs)
+    n = np.arange(dim)
+    radii = np.maximum.accumulate([1.0] + [abs(z) for z in zeros])
+    G = np.zeros((dim, len(zeros)), dtype=np.complex128)
+    for k, z in enumerate(zeros):
+        r = radii[k + 1]
+        powers = np.full(dim, z / r, dtype=np.complex128)
+        powers[0] = 1.0
+        np.cumprod(powers, out=powers)
+        if k == 0:
+            G[:, 0] = powers
+        else:
+            G[1:, k] = np.convolve(G[:, k - 1] * (radii[k] / r) ** n, powers)[: dim - 1] / r
+    return G * radii[1:] ** (n[:, None] - (dim - 1))
+
+
+@one_blas_thread
 def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:
-    """Coefficient space of polynomials of degree < dim vanishing on `zeros`.
+    """Orthonormal basis of the polynomials of degree < dim vanishing on `zeros`.
 
-    Columns are the shifted coefficient vectors of q(z) = prod (z - z_i),
-    spanning q times polynomials of degree < dim - len(zeros).
+    p = sum c_n z^n vanishes on the zeros, with multiplicity, exactly when c
+    is orthogonal to the conjugated columns of _divided_powers. One complete
+    QR of that dim x m block (Golub & Van Loan, Matrix Computations, 5.2)
+    gives [Q_1 Q_2]: Q_2 is the returned basis and Q_1, its orthogonal
+    complement, is cached on it for rel_index. The QR runs on one BLAS
+    thread, as the drivers do.
     """
     zs = [complex(z) for z in zeros]
     m = len(zs)
     if dim <= m:
         raise ValueError(f"need dim > number of zeros, got dim={dim}, zeros={m}")
-    q = CoefficientSeries.from_roots(zs).coeffs
-    cols = np.zeros((dim, dim - m), dtype=np.complex128)
-    for j in range(dim - m):
-        cols[j : j + m + 1, j] = q
-    return SubspaceBasis(cols)
+    Q = np.linalg.qr(_divided_powers(zs, dim).conj(), mode="complete")[0]
+    basis = SubspaceBasis(Q[:, m:], orthonormal=True)
+    basis._cache["complement"] = Q[:, :m].copy()
+    return basis
 
 
 # -- polynomial kernels and Krylov spans -----------------------------------------

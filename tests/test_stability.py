@@ -335,6 +335,16 @@ class TestOneBlasThread:
         assert seen and set(seen) == {1}
         assert fake.count == 4
 
+    def test_vanishing_subspace_runs_its_qr_on_one_thread(self, monkeypatch):
+        fake = FakeBlas(4)
+        monkeypatch.setattr(_blas, "_lookup", lambda: (fake.get, fake.put))
+        seen = []
+        original = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: seen.append(fake.count) or original(*a, **k))
+        vanishing_subspace([0.3, -0.4], 32)
+        assert seen == [1]
+        assert fake.count == 4
+
     def test_restored_after_a_raise(self, monkeypatch):
         fake = FakeBlas(3)
         monkeypatch.setattr(_blas, "_lookup", lambda: (fake.get, fake.put))

@@ -186,6 +186,65 @@ class TestRelIndex:
                 assert abs(np.dot(col, pw)) < 1e-12
 
 
+def banded_vanishing_basis(zeros, dim):
+    """Reference: the columns q z^j, j < dim - m, for q = prod (z - z_i), as banded coefficient vectors."""
+    q = np.poly(np.array(zeros, dtype=complex))[::-1]
+    cols = np.zeros((dim, dim - len(zeros)), dtype=complex)
+    for j in range(dim - len(zeros)):
+        cols[j : j + len(q), j] = q
+    return SubspaceBasis(cols)
+
+
+def clustered_zero_set(rng):
+    """1-5 points in |z| <= 0.8, each a step of one separation in 1e-4 .. 1e-1 from the previous."""
+    size = int(rng.integers(1, 6))
+    sep = 10.0 ** rng.uniform(-4, -1)
+    while True:
+        start = complex(*rng.uniform(-0.55, 0.55, size=2))
+        steps = sep * np.exp(2j * np.pi * rng.uniform(size=size - 1))
+        zeros = start + np.concatenate([[0.0], np.cumsum(steps)])
+        if np.all(np.abs(zeros) <= 0.8):
+            return [complex(z) for z in zeros]
+
+
+class TestVanishingSubspace:
+    @pytest.mark.parametrize("zeros, dim", [
+        ([0.4, -0.2 + 0.3j, 0.1j], 48),
+        ([0.3, 0.3], 48),
+        ([0.0, 0.0, 0.0], 48),
+        ([0.5, 0.5 + 1e-6, 0.5 - 1e-6j, -0.6j, -0.6j + 1e-3], 64),
+        ([10.0, -0.1j], 400),  # 10^399 overflows: the columns are scaled as they are built
+    ])
+    def test_spans_the_banded_columns(self, zeros, dim):
+        basis = vanishing_subspace(zeros, dim)
+        assert basis.orthonormal and basis.dim == dim - len(zeros)
+        assert np.all(np.isfinite(basis.matrix))
+        assert projection_distance(basis, banded_vanishing_basis(zeros, dim)) <= 1e-13
+
+    @pytest.mark.parametrize("zeros", [[0.3, -0.4], [0.0, 0.0, 0.0], [0.79, 0.7901, -0.5j]])
+    def test_basis_and_cached_complement_are_unitary(self, zeros):
+        basis = vanishing_subspace(zeros, 129)
+        U = np.hstack([basis.matrix, basis._cache["complement"]])
+        assert np.linalg.norm(U.conj().T @ U - np.eye(129), 2) <= 1e-14
+
+    def test_rel_index_runs_no_qr(self, monkeypatch):
+        N, zeros = 64, [0.3, -0.4]
+        M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
+        calls = []
+        original = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or original(*a, **k))
+        assert rel_index(shift_window(UNW, N), M_in, M_out).index == 1
+        assert calls == []
+
+    def test_clustered_sets_give_index_one(self):
+        N = 128
+        T = shift_window(UNW, N)
+        for i in range(300):
+            zeros = clustered_zero_set(stream(21, TAG_BASIS, i))
+            res = rel_index(T, vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1))
+            assert res.index == 1 and res.defect <= 1e-13, (i, zeros, res.defect)
+
+
 def residual_defect(T, M_in, M_out):
     """Reference invariance defect: norm of the residual after projecting onto M_out."""
     Q_in = orthonormalize(M_in).matrix
@@ -260,7 +319,7 @@ def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=None):
     Q_in = orthonormalize(M_in).matrix
     out = orthonormalize(M_out)
     img = T.matrix @ Q_in
-    defect = _invariance_defect(img, out)
+    defect = _invariance_defect(OperatorWindow(T.matrix), Q_in, out)
     if defect > inv_tol:
         raise InvarianceError(defect, inv_tol)
     dim_out = out.dim
@@ -404,7 +463,8 @@ class TestSupportPath:
         self.fallback(monkeypatch, T, vanishing_subspace([0.5], N), vanishing_subspace([0.5], N + 1))
 
     def test_gap_read_checks_the_certified_rank(self):
-        res = IndexResult(0, 3, 3, 0.0, np.zeros((4, 3), dtype=complex), 1e-8)
+        T = OperatorWindow(np.zeros((4, 3), dtype=complex))
+        res = IndexResult(0, 3, 3, 0.0, T, np.eye(3, dtype=complex), 1e-8)
         with pytest.raises(AssertionError, match="certified rank 3"):
             res.gap
 
