@@ -215,20 +215,29 @@ def _chain_rows(log_pi: np.ndarray, log_abs: float, unit: np.ndarray, k: int, N:
 
 
 def _chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
-    """Closed-form chain from _chain_rows; lam = 0 gives f_k = e_{k-1} / pi_{k-1}."""
+    """Closed-form chain from _chain_rows; lam = 0 gives f_k = e_{k-1} / pi_{k-1}.
+
+    Raises ValueError, naming lam and N, when a vector, its norm or a link
+    residual overflows to a non-finite value.
+    """
     log_pi = w.log_pi_array(N - 1)
     vectors: list[np.ndarray] = []
-    for k in range(1, m + 1):
-        if lam == 0:
-            f = np.zeros(N, dtype=np.complex128)
-            f[k - 1] = math.exp(-log_pi[k - 1])
-        else:
-            f = _chain_rows(log_pi, math.log(abs(lam)), np.array([lam / abs(lam)]), k, N)[0]
-        vectors.append(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m + 1):
+            if lam == 0:
+                f = np.zeros(N, dtype=np.complex128)
+                f[k - 1] = math.exp(-log_pi[k - 1])
+            else:
+                f = _chain_rows(log_pi, math.log(abs(lam)), np.array([lam / abs(lam)]), k, N)[0]
+            vectors.append(f)
 
-    residuals = [_link_residual(w, lam, vectors[0], None)]
-    for k in range(1, m):
-        residuals.append(_link_residual(w, lam, vectors[k], vectors[k - 1]))
+        residuals = [_link_residual(w, lam, vectors[0], None)]
+        for k in range(1, m):
+            residuals.append(_link_residual(w, lam, vectors[k], vectors[k - 1]))
+        finite = np.isfinite([np.linalg.norm(f) for f in vectors] + residuals).all()
+    if not finite:
+        raise ValueError(f"the chain overflows for lam={lam} on the window N={N}: "
+                         "a vector, its norm or a link residual is not finite")
 
     r_point = w.r_point(N)
     return JordanChain(

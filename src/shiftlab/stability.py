@@ -151,7 +151,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
             entry["distance"] = rec.distance
             entry["kernel_sigma"] = float(np.max(rec.kernel_singular_values))
             distances.append(rec.distance)
-        except (CyclicityError, RankDeficiencyError, InvarianceError) as exc:
+        except (CyclicityError, RankDeficiencyError) as exc:
             entry["distance"] = None
             entry["error"] = str(exc)
             failures += 1
@@ -191,9 +191,9 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     The candidate subspace for each perturbed operator is the original one;
     a (trial, step) pair is asserted only once its invariance defect falls
     at or below invariance_tol, which the report makes visible. Trials
-    where no step reaches the assertion threshold, or where the transported
-    basis degenerates, are counted as skipped. sigma_min(T) is read from
-    T.singular_value_range when T has one, and from a dense SVD otherwise.
+    where no step reaches the assertion threshold are counted as skipped.
+    sigma_min(T) is read from T.singular_value_range when T has one, and
+    from a dense SVD otherwise.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
@@ -212,25 +212,21 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     skipped = 0
     for t in range(n_trials):
         asserted_any = False
-        try:
-            for j, eps in enumerate(steps):
-                pert = perturb(T, plan, eps, stream_tags=(TAG_SEMICONT, t, j))
-                try:
-                    res = rel_index(pert.window, M_in, M_out, tol=rank_tol, invariance_tol=invariance_tol)
-                except InvarianceError as exc:
-                    agg[j]["max_defect"] = max(agg[j]["max_defect"], exc.defect)
-                    continue
-                asserted_any = True
-                a = agg[j]
-                a["n_asserted"] += 1
-                a["max_defect"] = max(a["max_defect"], res.defect)
-                a["min_index"] = res.index if a["min_index"] is None else min(a["min_index"], res.index)
-                a["max_index"] = res.index if a["max_index"] is None else max(a["max_index"], res.index)
-                if base.index > res.index:
-                    a["n_violations"] += 1
-        except RankDeficiencyError:
-            skipped += 1
-            continue
+        for j, eps in enumerate(steps):
+            pert = perturb(T, plan, eps, stream_tags=(TAG_SEMICONT, t, j))
+            try:
+                res = rel_index(pert.window, M_in, M_out, tol=rank_tol, invariance_tol=invariance_tol)
+            except InvarianceError as exc:
+                agg[j]["max_defect"] = max(agg[j]["max_defect"], exc.defect)
+                continue
+            asserted_any = True
+            a = agg[j]
+            a["n_asserted"] += 1
+            a["max_defect"] = max(a["max_defect"], res.defect)
+            a["min_index"] = res.index if a["min_index"] is None else min(a["min_index"], res.index)
+            a["max_index"] = res.index if a["max_index"] is None else max(a["max_index"], res.index)
+            if base.index > res.index:
+                a["n_violations"] += 1
         if not asserted_any:
             skipped += 1
 

@@ -5,7 +5,7 @@ it exceeds tol times the largest one, and every index result carries the
 gap between the last kept and first dropped singular value so callers can
 assert the decision was well conditioned. A window with a weighted-shift
 support can certify full rank without an SVD (see rel_index); its gap is
-then computed only when read.
+then the certificate's lower bound on that ratio.
 
 rel_index is the invariance check: it takes the codomain subspace
 explicitly and reports the defect of T M_in against it.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +54,9 @@ class SubspaceBasis:
     """Columns of `matrix` span a subspace of C^ambient_dim.
 
     The basis owns a read-only complex128 copy of the matrix it is given,
-    and its fields cannot be reassigned. Results derived from the matrix
-    (its orthonormalization, and the orthogonal complement of an orthonormal
-    basis) are cached on the instance and can therefore never go stale.
+    and its fields cannot be reassigned. The orthogonal complement of an
+    orthonormal basis is cached on the instance and can therefore never go
+    stale.
     """
 
     matrix: np.ndarray
@@ -115,23 +114,18 @@ def orthonormalize(basis: SubspaceBasis) -> SubspaceBasis:
     Rejects the first column j whose |R_jj|, the norm of its residual
     after projecting out columns 0 .. j-1, falls below DEPENDENCE_TOL
     times its original norm; the error's index j is the dimension that
-    columns 0 .. j-1 span. An orthonormal basis is returned as itself.
-    Otherwise the result is cached on `basis`, so repeated calls with the
-    same basis cost one QR in total.
+    columns 0 .. j-1 span. An orthonormal basis is returned as itself;
+    any other costs one QR per call.
     """
     if basis.orthonormal:
         return basis
-    cached = basis._cache.get("orthonormalize")
-    if cached is not None:
-        return cached
     Q, R = np.linalg.qr(basis.matrix)
     diag = np.abs(np.diag(R))
     norms = np.linalg.norm(basis.matrix, axis=0)
     for j in range(basis.dim):
         if diag[j] < DEPENDENCE_TOL * max(norms[j], 1e-300):
             raise RankDeficiencyError(j, float(diag[j] / max(norms[j], 1e-300)))
-    result = basis._cache["orthonormalize"] = SubspaceBasis(Q, orthonormal=True)
-    return result
+    return SubspaceBasis(Q, orthonormal=True)
 
 
 def projection_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -170,42 +164,29 @@ class IndexResult:
 
     gap is the ratio between the smallest kept singular value and the
     largest dropped one (or the decision threshold when nothing was
-    dropped); a clean decision has a large gap. It is computed when first
-    read, from the singular values of the image T Q_in, which the result
-    forms from the T and Q_in it keeps.
-    When rel_index certified the rank without an SVD, that read runs the
-    SVD and raises AssertionError unless it keeps the certified rank.
-    Equality compares index, rank, dim_out and defect.
+    dropped); a clean decision has a large gap. After an SVD it is that
+    ratio; on a window whose full rank rel_index certified, it is the
+    certificate's lower bound on it (see _certified_gap).
     """
 
     index: int
     rank: int
     dim_out: int
     defect: float
-    _window: OperatorWindow = field(repr=False, compare=False)
-    _basis: np.ndarray = field(repr=False, compare=False)
-    _tol: float = field(repr=False, compare=False)
-    _sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def gap(self) -> float:
-        if self.rank == 0:
-            return math.inf
-        s = self._sigma
-        if s is None:
-            s = np.linalg.svd(_window_image(self._window, self._basis), compute_uv=False)
-        rank, cutoff = _numerical_rank(s, self._tol)
-        if rank != self.rank:
-            raise AssertionError(f"certified rank {self.rank}, but the SVD keeps {rank}")
-        if rank < len(s) and s[rank] > 0:
-            return float(s[rank - 1] / s[rank])
-        return float(s[rank - 1] / cutoff) if cutoff > 0 else math.inf
+    gap: float
 
 
-def _numerical_rank(s: np.ndarray, tol: float) -> tuple[int, float]:
-    """Number of singular values above tol * s[0], and that cutoff."""
+def _rank_and_gap(s: np.ndarray, tol: float) -> tuple[int, float]:
+    """Number of the descending singular values s above tol * s[0], and the gap.
+
+    The gap is inf when nothing is kept or the cutoff is 0.
+    """
     cutoff = tol * s[0] if s[0] > 0 else 0.0
-    return int(np.sum(s > cutoff)), cutoff
+    rank = int(np.sum(s > cutoff))
+    if rank == 0:
+        return 0, math.inf
+    below = s[rank] if rank < len(s) and s[rank] > 0 else cutoff
+    return rank, float(s[rank - 1] / below) if below > 0 else math.inf
 
 
 def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
@@ -233,19 +214,25 @@ def _adjoint_image(T: OperatorWindow, W: np.ndarray) -> np.ndarray:
     return img
 
 
-def _certified_full_rank(T: OperatorWindow, tol: float) -> bool:
-    """Whether every singular value of T Q, Q orthonormal, passes the rank rule.
+def _certified_gap(T: OperatorWindow, tol: float) -> float | None:
+    """Lower bound on the full-rank gap of T Q, Q orthonormal, or None if full rank is not certified.
 
     With a support covering every column, T* T = diag(|s_j|^2), so each
     sigma_i(T Q) lies in [min |s_j|, max |s_j|] (Courant-Fischer; Golub &
     Van Loan, Matrix Computations, 2.4 and 8.6). Requiring
     min |s_j| > 2 max(tol, n eps) max |s_j|, n = max(rows, cols), keeps the
     rule s_i > tol s_0 true for the computed singular values too, whose
-    rounding error is of order n eps max |s_j|.
+    rounding error is of order n eps max |s_j|. Every singular value is then
+    kept, and the gap sigma_min / (tol sigma_max) is at least
+    min |s_j| / (tol max |s_j|).
     """
     bounds = T.singular_value_range
-    margin = 2.0 * max(tol, max(T.rows, T.cols) * np.finfo(float).eps)
-    return bounds is not None and bounds[0] > margin * bounds[1]
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    if not lo > 2.0 * max(tol, max(T.rows, T.cols) * np.finfo(float).eps) * hi:
+        return None
+    return lo / (tol * hi)
 
 
 def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
@@ -256,18 +243,18 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     then counts dim(M_out) - rank(T B_in) with the relative singular value
     threshold tol * sigma_max. The invariance defect is the norm of
     (T* W)* Q_in for the orthogonal complement W of M_out, a codim x dim_in
-    matrix. The orthonormal bases and the complement are cached on M_in
-    and M_out, so calls that reuse the same basis objects (as perturbation
-    sweeps do) pay for their QRs once; vanishing_subspace's bases come
-    orthonormal with their complement, so they cost no QR here at all.
+    matrix. vanishing_subspace's bases come orthonormal with their
+    complement, so rel_index runs no QR on them; a basis not flagged
+    orthonormal is orthonormalized on every call.
 
     When T carries a support, T* W and T Q_in are row gathers rather than
     dense products. When that support covers every column and its entries
-    pass min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_full_rank),
-    the rank is dim_in without an SVD, and the image T Q_in is formed, for
-    its SVD, only if the result's gap is read. Any other window takes the
-    SVD here: a zero or tiny weight (below a tiny tol, the n eps floor of
-    the margin decides), an empty column, or no support.
+    pass min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_gap), the
+    rank is dim_in and the gap is the certificate's bound
+    min |s_j| / (tol max |s_j|), with no SVD and no image T Q_in. Any other
+    window forms the image and takes the SVD, which gives both the rank and
+    the gap: a zero or tiny weight (below a tiny tol, the n eps floor of the
+    margin decides), an empty column, or no support.
     """
     if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
         raise ValueError("subspace dimensions do not match the window")
@@ -277,15 +264,11 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     defect = _invariance_defect(T, Q_in, out)
     if defect > inv_tol:
         raise InvarianceError(defect, inv_tol)
-    dim_out = out.dim
-    if Q_in.shape[1] == 0:
-        return IndexResult(dim_out, 0, dim_out, defect, T, Q_in, tol)
-    if _certified_full_rank(T, tol):
-        rank = Q_in.shape[1]
-        return IndexResult(dim_out - rank, rank, dim_out, defect, T, Q_in, tol)
-    s = np.linalg.svd(_window_image(T, Q_in), compute_uv=False)
-    rank = _numerical_rank(s, tol)[0]
-    return IndexResult(dim_out - rank, rank, dim_out, defect, T, Q_in, tol, s)
+    rank = Q_in.shape[1]
+    gap = _certified_gap(T, tol) if rank else math.inf
+    if gap is None:
+        rank, gap = _rank_and_gap(np.linalg.svd(_window_image(T, Q_in), compute_uv=False), tol)
+    return IndexResult(out.dim - rank, rank, out.dim, defect, gap)
 
 
 def _divided_powers(zeros: list[complex], dim: int) -> np.ndarray:

@@ -206,6 +206,15 @@ class TestCommands:
         assert gamma2[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
         assert gamma2[1] == 0.0
 
+    @pytest.mark.parametrize("lam", [40, 30])
+    def test_chain_overflow_exits_one(self, tmp_path, monkeypatch, capsys, lam):
+        # unweighted at N = 200: lam 40 overflows the vector, lam 30 its norm
+        monkeypatch.chdir(tmp_path)
+        assert run(RunConfig(command="chain", lam=lam, output="ov")) == 1
+        err = capsys.readouterr().err
+        assert f"lam=({lam}+0j)" in err and "N=200" in err
+        assert not (tmp_path / "ov.report.json").exists()
+
     def test_stability_pass_and_determinism(self, tmp_path, monkeypatch):
         argv = ["stability", "--weight", "bergman", "--N", "100",
                 "--eps", "1e-1,1e-2,1e-3", "--seed", "5", "--output", "s1"]

@@ -258,6 +258,15 @@ class TestBeurlingIndexSweep:
         assert all(s["index"] == 1 for s in rep.per_step)
         assert all(s["gap"] >= 1e3 for s in rep.per_step)
 
+    def test_makes_no_svd(self, monkeypatch):
+        # the unweighted shift certifies full rank, and its gap is the certificate's bound
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        rep = beurling_index_sweep(random_zero_sets(5, seed=3), 64)
+        assert calls == []
+        assert all(s["index"] == 1 and s["gap"] == 1e8 for s in rep.per_step)
+
     def test_repeated_point_rejected(self):
         with pytest.raises(ValueError):
             beurling_index_sweep([[0.3, 0.3]], 64)

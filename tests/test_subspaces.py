@@ -17,7 +17,6 @@ from shiftlab.seeding import TAG_BASIS, complex_gaussian, stream
 from shiftlab.stability import PerturbationPlan, perturb
 from shiftlab.subspaces import (
     CyclicityError,
-    IndexResult,
     InvarianceError,
     RankDeficiencyError,
     SubspaceBasis,
@@ -28,6 +27,7 @@ from shiftlab.subspaces import (
     polynomial_of_window,
     projection_distance,
     reconstruct_chain_subspace,
+    _certified_gap,
     _invariance_defect,
     rel_index,
     vanishing_subspace,
@@ -268,10 +268,10 @@ class TestBasisCache:
         basis = SubspaceBasis(np.eye(5, 3, dtype=complex), orthonormal=True)
         assert orthonormalize(basis) is basis
 
-    def test_orthonormalization_cached_per_basis(self):
-        basis = vanishing_subspace([0.3, -0.4], 16)
+    def test_orthonormalized_basis_is_flagged_and_returned_as_itself(self):
+        basis = SubspaceBasis(complex_gaussian(stream(6, TAG_BASIS), (16, 5)))
         first = orthonormalize(basis)
-        assert orthonormalize(basis) is first
+        assert first is not basis and not basis.orthonormal
         assert first.orthonormal and orthonormalize(first) is first
 
     def test_reused_and_fresh_bases_give_identical_results(self):
@@ -341,6 +341,27 @@ def as_tuple(res):
     return res.index, res.rank, res.dim_out, res.defect, res.gap
 
 
+def assert_matches_the_dense_reference(T, M_in, M_out, tol=1e-8, invariance_tol=math.inf):
+    """rel_index against dense_rel_index on the same matrix without its support.
+
+    index, rank, dim_out and defect agree exactly. On a window whose rank is
+    certified, the dense SVD keeps the certified (full) rank and its gap is at
+    least the certified one, up to the SVD's rounding of order n eps max|s_j|;
+    otherwise both take the same SVD and the gaps agree exactly.
+    """
+    expected = dense_rel_index(OperatorWindow(T.matrix), M_in, M_out, tol=tol, invariance_tol=invariance_tol)
+    res = rel_index(T, M_in, M_out, tol=tol, invariance_tol=invariance_tol)
+    assert as_tuple(res)[:4] == expected[:4]
+    certified = _certified_gap(T, tol)
+    if certified is None or res.rank == 0:
+        assert res.gap == expected[4]
+    else:
+        lo, hi = T.singular_value_range
+        assert res.rank == M_in.dim and res.gap == certified == lo / (tol * hi)
+        slack = 10 * max(T.rows, T.cols) * np.finfo(float).eps * hi / lo
+        assert expected[4] >= res.gap * (1 - slack)
+
+
 class CountingSvd:
     """Counts np.linalg.svd calls made through the module attribute (rank SVDs, not norms)."""
 
@@ -380,9 +401,7 @@ class TestSupportPath:
     @given(shift_like_windows(), st.sampled_from([1e-8, 1e-15, 1e-3, 0.5]))
     def test_matches_the_dense_reference(self, case, tol):
         T, M_in, M_out = case
-        expected = dense_rel_index(OperatorWindow(T.matrix), M_in, M_out, tol=tol, invariance_tol=math.inf)
-        got = as_tuple(rel_index(T, M_in, M_out, tol=tol, invariance_tol=math.inf))
-        assert got == expected
+        assert_matches_the_dense_reference(T, M_in, M_out, tol=tol)
 
     def test_complex_entries_match_within_rounding(self):
         rng = stream(5, TAG_BASIS)
@@ -396,21 +415,21 @@ class TestSupportPath:
         expected = dense_rel_index(OperatorWindow(M), M_in, M_out, invariance_tol=math.inf)
         got = as_tuple(rel_index(T, M_in, M_out, invariance_tol=math.inf))
         assert got[:3] == expected[:3]
-        assert got[3:] == pytest.approx(expected[3:], rel=1e-12)
+        assert got[3] == pytest.approx(expected[3], rel=1e-12)
+        # the complex weights certify full rank: the gap is the bound, below the SVD's ratio
+        lo, hi = T.singular_value_range
+        assert got[4] == lo / (1e-8 * hi) < expected[4]
 
-    def test_certified_rank_runs_no_svd_until_the_gap_is_read(self, monkeypatch):
+    def test_certified_rank_runs_no_svd(self, monkeypatch):
         N, zeros = 64, [0.3, -0.4]
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=2)
         S = perturb(shift_window(UNW, N), plan, 1e-3).window
         M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
-        expected = dense_rel_index(OperatorWindow(S.matrix), M_in, M_out, invariance_tol=1e-2)
         svd = CountingSvd(monkeypatch)
         res = rel_index(S, M_in, M_out, invariance_tol=1e-2)
-        assert svd.calls == 0 and "gap" not in vars(res)
-        assert as_tuple(res) == expected
-        assert svd.calls == 1
-        res.gap
-        assert svd.calls == 1
+        assert res.rank == M_in.dim and res.gap == _certified_gap(S, 1e-8)
+        assert svd.calls == 0
+        assert_matches_the_dense_reference(S, M_in, M_out, invariance_tol=1e-2)
 
     def fallback(self, monkeypatch, T, M_in, M_out, tol=1e-8):
         expected = dense_rel_index(OperatorWindow(T.matrix), M_in, M_out, tol=tol, invariance_tol=math.inf)
@@ -444,7 +463,7 @@ class TestSupportPath:
                 svd = CountingSvd(monkeypatch)
                 res = rel_index(S, M_in, M_out, tol=1e-15)
                 assert svd.calls == 0 and res.rank == N
-                assert as_tuple(res) == dense_rel_index(OperatorWindow(M), M_in, M_out, tol=1e-15)
+                assert_matches_the_dense_reference(S, M_in, M_out, tol=1e-15, invariance_tol=None)
             else:
                 assert self.fallback(monkeypatch, S, M_in, M_out, tol=1e-15).rank == N
 
@@ -461,12 +480,6 @@ class TestSupportPath:
         T = OperatorWindow(shift_window(UNW, N).matrix)
         assert T.support is None
         self.fallback(monkeypatch, T, vanishing_subspace([0.5], N), vanishing_subspace([0.5], N + 1))
-
-    def test_gap_read_checks_the_certified_rank(self):
-        T = OperatorWindow(np.zeros((4, 3), dtype=complex))
-        res = IndexResult(0, 3, 3, 0.0, T, np.eye(3, dtype=complex), 1e-8)
-        with pytest.raises(AssertionError, match="certified rank 3"):
-            res.gap
 
 
 class TestPolynomialOfWindow:
