@@ -264,6 +264,10 @@ def _run_semicont(config: RunConfig) -> ExperimentReport:
     w = load_weight(config.weight)
     zeros = config.zeros if config.zeros is not None else tuple(config.p_roots)
     _check_window_fits(config.N, len(zeros))
+    r_point = w.r_point(config.N)  # no closed invariant subspace of T vanishes outside |z| < r_point
+    if max(abs(z) for z in zeros) >= r_point:
+        key = "zeros" if config.zeros is not None else "p_roots"
+        raise ConfigError(f"{key} must lie inside |z| < r_point = {r_point:.6g}, got {max(zeros, key=abs)}")
     T = shift_window(w, config.N)
     M_in = vanishing_subspace(zeros, config.N)
     M_out = vanishing_subspace(zeros, config.N + 1)

@@ -30,8 +30,9 @@ class OperatorWindow:
     `support`, when given, is a pair (rows, cols) of index arrays whose
     positions hold every nonzero entry of the matrix, at most one per row
     and one per column: the shape of a weighted shift, its adjoint, and
-    their weight-jittered copies. None means unknown, and every consumer
-    then treats the matrix as dense. The builders in this module and
+    their weight-jittered copies. None means unknown: such a window serves
+    only dense products (polynomial kernels, dense perturbations), and the
+    index experiments reject it. The builders in this module and
     stability.perturb set it; a window given a support keeps a read-only
     view of its matrix, so the two cannot drift apart through the window.
     Only distinctness and range are checked (O(N)); that the support holds
@@ -57,15 +58,15 @@ class OperatorWindow:
             self.matrix.flags.writeable = False
 
     @property
-    def singular_value_range(self) -> tuple[float, float] | None:
-        """(min, max) singular value when the support has one position in every column, else None.
+    def singular_value_range(self) -> tuple[float, float]:
+        """(min, max) singular value of a window with a support.
 
-        Such a window has T* T = diag(|s_j|^2), so its singular values are the |s_j| on the support.
+        Such a window has T* T = diag(|s_j|^2), so its singular values are
+        the |s_j| on the support, and 0 for each column off it.
         """
-        if self.support is None or len(self.support[1]) != self.cols:
-            return None
-        mags = np.abs(self.matrix[self.support])
-        return float(mags.min()), float(mags.max())
+        rows, cols = self.support
+        mags = np.abs(self.matrix[rows, cols])
+        return (float(mags.min()) if len(cols) == self.cols else 0.0), float(mags.max(initial=0.0))
 
     @property
     def rows(self) -> int:

@@ -7,9 +7,9 @@ bit for bit. The three drivers run BLAS on one thread (`_blas`), so the
 bits do not depend on OPENBLAS_NUM_THREADS or the core count either.
 
 Perturbation kinds: dense_random adds a normalized dense Gaussian
-direction of prescribed operator norm; weight_jitter multiplies each shift
-weight by (1 + delta_n) with |delta_n| small enough to keep the operator
-norm change below epsilon.
+direction of prescribed operator norm; weight_jitter multiplies each weight
+on the window's support by (1 + delta_n) with |delta_n| small enough to keep
+the operator norm change below epsilon.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .report import (
 )
 from .seeding import TAG_DENSE, TAG_JITTER, TAG_SEMICONT, TAG_STABILITY, TAG_ZERO_SETS, complex_gaussian, stream
 from .subspaces import (
-    CyclicityError,
     InvarianceError,
     RankDeficiencyError,
     SubspaceBasis,
@@ -80,28 +79,15 @@ class Perturbation:
     delta_norm: float
 
 
-def _structured_positions(T: OperatorWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero positions of a weighted-shift-like window.
-
-    Requires at most one nonzero entry per row and per column, which makes
-    the operator norm of any entrywise change equal to the largest entry
-    change. Covers shift and adjoint windows and direct sums of them.
-    """
-    rows, cols = np.nonzero(T.matrix)
-    if len(rows) and (len(np.unique(rows)) != len(rows) or len(np.unique(cols)) != len(cols)):
-        raise ValueError("structured perturbations need at most one nonzero entry per row and per column")
-    return rows, cols
-
-
 def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
             stream_tags: tuple[int, ...] = ()) -> Perturbation:
     """Produce a window S with ||S - T|| <= epsilon, reported exactly.
 
     stream_tags select the random substream (trial and step indices);
     the same (plan.seed, stream_tags) always yields the same direction.
-    weight_jitter takes the nonzero positions from T.support and scans
-    the matrix only when T has none; the jittered S carries the support
-    of T.
+    weight_jitter needs a window with a support and moves only the entries
+    on it, at most one per row and column, so ||S - T|| is the largest
+    entry change; S carries the same support.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -113,10 +99,10 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
         S = M + epsilon * G
         delta = float(np.linalg.norm(S - M, 2))
         return Perturbation(OperatorWindow(S), delta)
+    if T.support is None:
+        raise ValueError("weight_jitter needs a window with a support")
     M = T.matrix.copy()
-    rows, cols = T.support if T.support is not None else _structured_positions(T)
-    if len(rows) == 0:
-        return Perturbation(OperatorWindow(M, support=(rows, cols)), 0.0)
+    rows, cols = T.support
     rng = stream(plan.seed, TAG_JITTER, *stream_tags)
     norm_T = float(np.max(np.abs(M[rows, cols])))
     delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(rows))
@@ -133,10 +119,11 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
     """Reconstruction distance against perturbation size, with slope fit.
 
     For each epsilon in the schedule, perturbs the square adjoint window,
-    rebuilds the chain subspace for p_roots, and records the projection
-    distance to the unperturbed reference. Verdict: pass when the log-log
-    slope lies in [0.9, 1.1] and the final distance is at most 10 times
-    the smallest epsilon.
+    takes the kernel of p(S) for p with the roots p_roots, and records its
+    projection distance to the unperturbed chain span; a step whose chain
+    vectors are dependent is a failure. Verdict: pass when no step failed,
+    the log-log slope lies in [0.9, 1.1] and the final distance is at most
+    10 times the smallest epsilon.
     """
     roots = [complex(r) for r in p_roots]
     A0 = adjoint_window_square(w, N)
@@ -151,7 +138,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
             entry["distance"] = rec.distance
             entry["kernel_sigma"] = float(np.max(rec.kernel_singular_values))
             distances.append(rec.distance)
-        except (CyclicityError, RankDeficiencyError) as exc:
+        except RankDeficiencyError as exc:
             entry["distance"] = None
             entry["error"] = str(exc)
             failures += 1
@@ -192,13 +179,15 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     a (trial, step) pair is asserted only once its invariance defect falls
     at or below invariance_tol, which the report makes visible. Trials
     where no step reaches the assertion threshold are counted as skipped.
-    sigma_min(T) is read from T.singular_value_range when T has one, and
-    from a dense SVD otherwise.
+    T must carry a support, and sigma_min(T) is read from it
+    (T.singular_value_range): 0 when a column has no support position.
+    M_out must carry its orthogonal complement (see rel_index).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    bounds = T.singular_value_range
-    s_min = bounds[0] if bounds is not None else float(np.linalg.svd(T.matrix, compute_uv=False)[-1])
+    if T.support is None:
+        raise ValueError("semicontinuity_run needs a window with a support")
+    s_min = T.singular_value_range[0]
     if s_min < DEFAULT_MIN_SIGMA:
         raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {DEFAULT_MIN_SIGMA}")
     base = rel_index(T, M_in, M_out, tol=rank_tol)

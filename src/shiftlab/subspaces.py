@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,33 +42,32 @@ class InvarianceError(ValueError):
         self.tol = tol
 
 
-class CyclicityError(ValueError):
-    def __init__(self, achieved: int, wanted: int):
-        super().__init__(f"Krylov span reached dimension {achieved}, needed {wanted}")
-        self.achieved = achieved
-        self.wanted = wanted
-
-
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Columns of `matrix` span a subspace of C^ambient_dim.
 
-    The basis owns a read-only complex128 copy of the matrix it is given,
-    and its fields cannot be reassigned. The orthogonal complement of an
-    orthonormal basis is cached on the instance and can therefore never go
-    stale.
+    `complement`, when given, is an orthonormal basis of the orthogonal
+    complement of an orthonormal basis, so that [matrix complement] is
+    unitary; rel_index needs it on its codomain. The basis owns read-only
+    complex128 copies of both arrays, and its fields cannot be reassigned.
+    Only the shapes are checked; unitarity is the caller's promise.
     """
 
     matrix: np.ndarray
     orthonormal: bool = False
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    complement: np.ndarray | None = None
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.complex128)
-        if matrix.ndim != 2:
+        for name in ("matrix", "complement"):
+            if getattr(self, name) is not None:
+                value = np.array(getattr(self, name), dtype=np.complex128)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        if self.matrix.ndim != 2:
             raise ValueError("basis matrix must be 2-dimensional (ambient x count)")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        if self.complement is not None and not (
+                self.orthonormal and self.complement.shape == (self.ambient_dim, self.ambient_dim - self.dim)):
+            raise ValueError("a complement needs an orthonormal basis and ambient_dim - dim columns of its length")
 
     @classmethod
     def from_vectors(cls, vectors) -> "SubspaceBasis":
@@ -143,16 +142,12 @@ def projection_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
 def _invariance_defect(T: OperatorWindow, Q_in: np.ndarray, out: SubspaceBasis) -> float:
     """Operator norm of (1 - Q Q*) T Q_in, for the orthonormal basis Q of `out`.
 
-    Computed as the norm of (T* W)* Q_in, where [Q W] is unitary (Golub &
-    Van Loan, Matrix Computations, 2.5), so the product and the SVD run on
-    codim(out) rows and the rows x dim_in image T Q_in is never formed.
-    W is cached on `out`; a basis that did not come with it (as
-    vanishing_subspace's do) gets it from one complete QR of Q.
+    Computed as the norm of (T* W)* Q_in, where W is out.complement and
+    [Q W] is unitary (Golub & Van Loan, Matrix Computations, 2.5), so the
+    product and the SVD run on codim(out) rows and the rows x dim_in image
+    T Q_in is never formed.
     """
-    W = out._cache.get("complement")
-    if W is None:
-        W = out._cache["complement"] = np.linalg.qr(out.matrix, mode="complete")[0][:, out.dim:]
-    X = _adjoint_image(T, W).conj().T @ Q_in
+    X = _adjoint_image(T, out.complement).conj().T @ Q_in
     return float(np.linalg.norm(X, 2)) if X.size else 0.0
 
 
@@ -190,14 +185,12 @@ def _rank_and_gap(s: np.ndarray, tol: float) -> tuple[int, float]:
 
 
 def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
-    """T Q, as a row gather when T has a support.
+    """T Q as a row gather over the support of T.
 
     For real entries (every shift, adjoint and jittered window) the gather
     is bitwise equal to the BLAS product up to the signs of zeros; complex
     entries can differ from it in the last bit.
     """
-    if T.support is None:
-        return T.matrix @ Q
     rows, cols = T.support
     img = np.zeros((T.rows, Q.shape[1]), dtype=np.complex128)
     img[rows] = T.matrix[rows, cols][:, None] * Q[cols]
@@ -205,9 +198,7 @@ def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_image(T: OperatorWindow, W: np.ndarray) -> np.ndarray:
-    """T* W, as a row gather when T has a support (see _window_image)."""
-    if T.support is None:
-        return T.matrix.conj().T @ W
+    """T* W as a row gather over the support of T (see _window_image)."""
     rows, cols = T.support
     img = np.zeros((T.cols, W.shape[1]), dtype=np.complex128)
     img[cols] = T.matrix[rows, cols].conj()[:, None] * W[rows]
@@ -217,19 +208,15 @@ def _adjoint_image(T: OperatorWindow, W: np.ndarray) -> np.ndarray:
 def _certified_gap(T: OperatorWindow, tol: float) -> float | None:
     """Lower bound on the full-rank gap of T Q, Q orthonormal, or None if full rank is not certified.
 
-    With a support covering every column, T* T = diag(|s_j|^2), so each
-    sigma_i(T Q) lies in [min |s_j|, max |s_j|] (Courant-Fischer; Golub &
-    Van Loan, Matrix Computations, 2.4 and 8.6). Requiring
-    min |s_j| > 2 max(tol, n eps) max |s_j|, n = max(rows, cols), keeps the
-    rule s_i > tol s_0 true for the computed singular values too, whose
-    rounding error is of order n eps max |s_j|. Every singular value is then
-    kept, and the gap sigma_min / (tol sigma_max) is at least
+    Each sigma_i(T Q) lies in T.singular_value_range = [min |s_j|, max |s_j|]
+    (Courant-Fischer; Golub & Van Loan, Matrix Computations, 2.4 and 8.6).
+    Requiring min |s_j| > 2 max(tol, n eps) max |s_j|, n = max(rows, cols),
+    keeps the rule s_i > tol s_0 true for the computed singular values too,
+    whose rounding error is of order n eps max |s_j|. Every singular value
+    is then kept, and the gap sigma_min / (tol sigma_max) is at least
     min |s_j| / (tol max |s_j|).
     """
-    bounds = T.singular_value_range
-    if bounds is None:
-        return None
-    lo, hi = bounds
+    lo, hi = T.singular_value_range
     if not lo > 2.0 * max(tol, max(T.rows, T.cols) * np.finfo(float).eps) * hi:
         return None
     return lo / (tol * hi)
@@ -241,23 +228,26 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
 
     Checks T M_in lies inside M_out within invariance_tol (default: tol),
     then counts dim(M_out) - rank(T B_in) with the relative singular value
-    threshold tol * sigma_max. The invariance defect is the norm of
-    (T* W)* Q_in for the orthogonal complement W of M_out, a codim x dim_in
-    matrix. vanishing_subspace's bases come orthonormal with their
-    complement, so rel_index runs no QR on them; a basis not flagged
-    orthonormal is orthonormalized on every call.
+    threshold tol * sigma_max. T must carry a support and M_out its
+    orthogonal complement W (vanishing_subspace's bases do); a basis M_in
+    not flagged orthonormal is orthonormalized on every call. The
+    invariance defect is the norm of (T* W)* Q_in, a codim x dim_in matrix,
+    with T* W a row gather.
 
-    When T carries a support, T* W and T Q_in are row gathers rather than
-    dense products. When that support covers every column and its entries
-    pass min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_gap), the
-    rank is dim_in and the gap is the certificate's bound
+    When the support covers every column and its entries pass
+    min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_gap), the rank
+    is dim_in and the gap is the certificate's bound
     min |s_j| / (tol max |s_j|), with no SVD and no image T Q_in. Any other
-    window forms the image and takes the SVD, which gives both the rank and
-    the gap: a zero or tiny weight (below a tiny tol, the n eps floor of the
-    margin decides), an empty column, or no support.
+    window gathers the image and takes the SVD, which gives both the rank
+    and the gap: a zero or tiny weight (below a tiny tol, the n eps floor of
+    the margin decides) or an empty column.
     """
     if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
         raise ValueError("subspace dimensions do not match the window")
+    if T.support is None:
+        raise ValueError("rel_index needs a window with a support")
+    if M_out.complement is None:
+        raise ValueError("rel_index needs an M_out with its orthogonal complement")
     inv_tol = tol if invariance_tol is None else invariance_tol
     Q_in = orthonormalize(M_in).matrix
     out = orthonormalize(M_out)
@@ -307,29 +297,25 @@ def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:
     p = sum c_n z^n vanishes on the zeros, with multiplicity, exactly when c
     is orthogonal to the conjugated columns of _divided_powers. One complete
     QR of that dim x m block (Golub & Van Loan, Matrix Computations, 5.2)
-    gives [Q_1 Q_2]: Q_2 is the returned basis and Q_1, its orthogonal
-    complement, is cached on it for rel_index. The QR runs on one BLAS
-    thread, as the drivers do.
+    gives [Q_1 Q_2]: Q_2 is the returned basis and Q_1 its complement,
+    which rel_index reads. The QR runs on one BLAS thread, as the drivers
+    do.
     """
     zs = [complex(z) for z in zeros]
     m = len(zs)
     if dim <= m:
         raise ValueError(f"need dim > number of zeros, got dim={dim}, zeros={m}")
     Q = np.linalg.qr(_divided_powers(zs, dim).conj(), mode="complete")[0]
-    basis = SubspaceBasis(Q[:, m:], orthonormal=True)
-    basis._cache["complement"] = Q[:, :m].copy()
-    return basis
+    return SubspaceBasis(Q[:, m:], orthonormal=True, complement=Q[:, :m])
 
 
-# -- polynomial kernels and Krylov spans -----------------------------------------
+# -- polynomial kernels ------------------------------------------------------------
 
 def polynomial_of_window(A: OperatorWindow, coeffs) -> OperatorWindow:
     """Evaluate p(A) by Horner's rule on a square window; coeffs[k] multiplies z^k."""
     if not A.is_square:
         raise ValueError("polynomial evaluation needs a square window")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if len(coeffs) == 0:
-        return OperatorWindow(np.zeros_like(A.matrix))
     eye = np.eye(A.rows, dtype=np.complex128)
     P = coeffs[-1] * eye
     for c in coeffs[-2::-1]:
@@ -360,29 +346,6 @@ def kernel_of_polynomial(A: OperatorWindow, coeffs, dim: int) -> KernelSpan:
     return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - dim:])
 
 
-def krylov_span(A: OperatorWindow, v: np.ndarray, m: int) -> SubspaceBasis:
-    """Orthonormal basis of span{v, Av, ..., A^(m-1) v}, by orthonormalize.
-
-    The columns v / |v|, A v / |v|, ..., A^(m-1) v / |v| go through the
-    one orthonormalizer, so a power that falls into the span of the
-    previous ones raises RankDeficiencyError, whose index is the
-    dimension the span reached.
-    """
-    if not A.is_square:
-        raise ValueError("Krylov span needs a square window")
-    if m < 1:
-        raise ValueError("Krylov length must be >= 1")
-    v = np.asarray(v, dtype=np.complex128)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("Krylov seed vector is zero")
-    K = np.empty((len(v), m), dtype=np.complex128)
-    K[:, 0] = v / nv
-    for j in range(1, m):
-        K[:, j] = A.matrix @ K[:, j - 1]
-    return orthonormalize(SubspaceBasis(K))
-
-
 # -- chain-subspace reconstruction ------------------------------------------------
 
 @dataclass
@@ -400,23 +363,15 @@ def chain_reference_basis(w: WeightSequence, roots, N: int) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(vectors)
 
 
-def default_cyclic_vector(reference: SubspaceBasis) -> np.ndarray:
-    """Normalized sum of the unit-normalized chain vectors."""
-    M = reference.matrix
-    e = np.sum(M / np.linalg.norm(M, axis=0, keepdims=True), axis=1)
-    return e / np.linalg.norm(e)
-
-
 def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow) -> ReconstructionResult:
     """Rebuild the chain-spanned invariant subspace from a window of A.
 
-    The reference is the span of the adjoint Jordan chains for `roots`.
-    The reconstruction takes the kernel of p(A) for p with those roots
-    (dimension forced to deg p), seeds a Krylov span with the cyclic
-    vector projected onto that kernel, K (K* e) for its orthonormal basis
-    K, and reports the projection-norm distance to the reference. A is
-    typically a perturbed square adjoint window. A seed below
-    DEPENDENCE_TOL or a Krylov span short of deg p raises CyclicityError.
+    The reference is the span of the adjoint Jordan chains for `roots`,
+    and the reconstruction is the kernel K of p(A) for p with those roots,
+    its dimension forced to deg p; the result is the projection-norm
+    distance between the two. A is typically a perturbed square adjoint
+    window. A reference whose chain vectors are numerically dependent (two
+    roots closer than the window resolves) raises RankDeficiencyError.
     """
     roots = [complex(r) for r in roots]
     m = len(roots)
@@ -435,20 +390,9 @@ def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow) -> R
 
     reference = chain_reference_basis(w, roots, N)
     ref_ortho = orthonormalize(reference)
-    e = default_cyclic_vector(reference)
-
     ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots).coeffs, dim=m)
-    K = ker.basis.matrix
-    seed = K @ (K.conj().T @ e)
-    if np.linalg.norm(seed) < DEPENDENCE_TOL:
-        raise CyclicityError(0, m)
-    try:
-        span = krylov_span(A, seed, m)
-    except RankDeficiencyError as exc:
-        raise CyclicityError(exc.index, m) from exc
-    dist = projection_distance(span, ref_ortho)
     return ReconstructionResult(
         reference=ref_ortho,
-        distance=dist,
+        distance=projection_distance(ker.basis, ref_ortho),
         kernel_singular_values=ker.kernel_singular_values,
     )

@@ -1,8 +1,9 @@
-"""Builders that only the tests use: a rectangular adjoint window and a polynomial weight."""
+"""Builders that only the tests use: windows, a polynomial weight and bases with their complement."""
 
 import numpy as np
 
 from shiftlab.operators import OperatorWindow, shift_window
+from shiftlab.subspaces import SubspaceBasis
 from shiftlab.weights import WeightSequence
 
 
@@ -11,6 +12,24 @@ def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
     T = shift_window(w, N)
     rows, cols = T.support
     return OperatorWindow(T.matrix.T.copy(), support=(cols, rows))
+
+
+def direct_sum(A: OperatorWindow, B: OperatorWindow) -> OperatorWindow:
+    """Block-diagonal window A + B, whose support joins the two supports."""
+    M = np.zeros((A.rows + B.rows, A.cols + B.cols), dtype=np.complex128)
+    M[: A.rows, : A.cols] = A.matrix
+    M[A.rows :, A.cols :] = B.matrix
+    rows = np.concatenate([A.support[0], B.support[0] + A.rows])
+    cols = np.concatenate([A.support[1], B.support[1] + A.cols])
+    return OperatorWindow(M, support=(rows, cols))
+
+
+def basis_with_complement(matrix) -> SubspaceBasis:
+    """Orthonormal basis of the span of the columns (full rank), with its complement, from one complete QR."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    Q = np.linalg.qr(matrix, mode="complete")[0]
+    k = matrix.shape[1]
+    return SubspaceBasis(Q[:, :k], orthonormal=True, complement=Q[:, k:])
 
 
 def polynomial_weight(exponent: float, n_max: int) -> WeightSequence:

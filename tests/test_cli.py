@@ -393,6 +393,22 @@ class TestCommands:
         assert "config error: N must exceed the number of zeros" in err and f"({count})" in err
         assert not (tmp_path / "small.report.json").exists()
 
+    @pytest.mark.parametrize("argv, key", [
+        (["semicont", "--zeros", "1.5"], "zeros"),
+        (["semicont", "--zeros", "0.3,1.0"], "zeros"),  # the unweighted r_point is exactly 1
+        (["semicont", "--weight", "bergman", "--zeros", "0.99i"], "zeros"),
+        (["semicont", "--p-roots", "0.3,-1.2"], "p_roots"),  # the zeros default to the p roots
+    ])
+    def test_zero_outside_the_point_spectrum_disc_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a subspace was built before the check")
+
+        monkeypatch.setattr("shiftlab.cli.vanishing_subspace", unreachable)
+        code = run_cli(argv + ["--trials", "2", "--output", "far"], tmp_path, monkeypatch)
+        assert code == 1
+        assert f"config error: {key} must lie inside |z| < r_point" in capsys.readouterr().err
+        assert not (tmp_path / "far.report.json").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["semicont", "--rank-tol", "0"], "rank_tol must lie in (0, 1)"),
         (["semicont", "--rank-tol", "1"], "rank_tol must lie in (0, 1)"),

@@ -76,10 +76,11 @@ class TestSupport:
         assert [r.tolist() for r in np.nonzero(win.matrix)] == [rows.tolist(), cols.tolist()]
 
     def test_only_the_shift_covers_every_column(self):
-        assert shift_window(BER, 9).singular_value_range is not None
-        assert adjoint_window(BER, 9).singular_value_range is None
-        assert adjoint_window_square(BER, 9).singular_value_range is None
-        assert OperatorWindow(shift_window(BER, 9).matrix).singular_value_range is None
+        alpha = BER.alpha_array(9)
+        assert shift_window(BER, 9).singular_value_range == (alpha.min(), alpha.max())
+        # a column off the support is a zero singular value
+        assert adjoint_window(BER, 9).singular_value_range == (0.0, alpha.max())
+        assert adjoint_window_square(BER, 9).singular_value_range == (0.0, alpha[:8].max())
 
     def test_matrix_read_only_with_a_support(self):
         win = shift_window(UNW, 4)

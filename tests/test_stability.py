@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from shiftlab import _blas, stability
+from shiftlab import _blas, stability, subspaces
 from shiftlab.operators import OperatorWindow, adjoint_window_square, shift_window
-from shiftlab.seeding import TAG_ZERO_SETS, stream
+from shiftlab.seeding import TAG_JITTER, TAG_ZERO_SETS, stream
 from shiftlab.stability import (
-    Perturbation,
     PerturbationPlan,
     beurling_index_sweep,
     norm_stability_run,
@@ -15,6 +14,8 @@ from shiftlab.stability import (
 )
 from shiftlab.subspaces import SubspaceBasis, vanishing_subspace
 from shiftlab.weights import WeightSequence
+
+from builders import basis_with_complement, direct_sum
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -58,20 +59,16 @@ class TestPerturb:
         assert np.all(diff[off] == 0)
 
     def test_jitter_direct_sum(self):
-        S = shift_window(UNW, 10).matrix
-        M = np.zeros((22, 20), dtype=complex)
-        M[:11, :10] = S
-        M[11:, 10:] = S
-        T = OperatorWindow(M)
+        T = direct_sum(shift_window(UNW, 10), shift_window(UNW, 10))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
         pert = perturb(T, plan, 1e-3)
-        assert np.linalg.norm(pert.window.matrix - M, 2) <= 1e-3 + 1e-15
+        assert np.linalg.norm(pert.window.matrix - T.matrix, 2) <= 1e-3 + 1e-15
 
     def test_jitter_rejects_dense_window(self):
-        T = OperatorWindow(np.ones((4, 4), dtype=complex))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
-        with pytest.raises(ValueError):
-            perturb(T, plan, 1e-3)
+        for T in (OperatorWindow(np.ones((4, 4), dtype=complex)), OperatorWindow(shift_window(UNW, 8).matrix)):
+            with pytest.raises(ValueError, match="weight_jitter needs a window with a support"):
+                perturb(T, plan, 1e-3)
 
 
 class TestNormStabilityRun:
@@ -87,6 +84,26 @@ class TestNormStabilityRun:
         plan = PerturbationPlan(kind="dense_random", epsilon_schedule=EPS5, seed=42)
         rep = norm_stability_run(UNW, [0.5], plan, N=150)
         assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize("preset", ["unweighted", "bergman", "quasianalytic_sqrt"])
+    def test_every_root_set_passes(self, preset):
+        # three or more distinct roots, a triple root and two close roots, at N = 200
+        w = WeightSequence.preset(preset)
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=EPS5, seed=0)
+        for roots in ([0.3, -0.4], [0.3, -0.4, 0.2], [0.3, -0.4, 0.2, 0.1j], [0, 0, 0], [0.5, 0.49]):
+            rep = norm_stability_run(w, roots, plan, N=200)
+            assert rep.verdict == "pass", (roots, rep.fitted_slope, rep.metrics)
+
+    def test_three_roots_unweighted_seed_5_passes(self):
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=EPS5, seed=5)
+        rep = norm_stability_run(UNW, [0.3, -0.4, 0.2], plan, N=200)
+        assert rep.verdict == "pass" and 0.9 <= rep.fitted_slope <= 1.1
+
+    def test_dependent_reference_fails_every_step(self):
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=EPS5, seed=42)
+        rep = norm_stability_run(UNW, [0.5, 0.5000000000001], plan, N=200)
+        assert rep.verdict == "fail" and rep.metrics["failures"] == len(EPS5)
+        assert all(s["distance"] is None and "dependent" in s["error"] for s in rep.per_step)
 
     def test_degenerate_schedule_inconclusive(self):
         plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3,), seed=42)
@@ -150,25 +167,25 @@ class TestSemicontinuity:
 
     def test_direct_sum_keeps_index_two(self):
         N = 32
-        S = shift_window(UNW, N).matrix
-        M = np.zeros((2 * N + 2, 2 * N), dtype=complex)
-        M[: N + 1, :N] = S
-        M[N + 1 :, N:] = S
-        T = OperatorWindow(M)
+        T = direct_sum(shift_window(UNW, N), shift_window(UNW, N))
         M_in = SubspaceBasis(np.eye(2 * N, dtype=complex), orthonormal=True)
-        M_out = SubspaceBasis(np.eye(2 * N + 2, dtype=complex), orthonormal=True)
+        M_out = basis_with_complement(np.eye(2 * N + 2))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-4, 1e-5), seed=5)
         rep = semicontinuity_run(T, M_in, M_out, plan, 10)
         assert rep.metrics["base_index"] == 2
         assert rep.verdict == "pass"
         assert all(s["min_index"] == 2 for s in rep.per_step if s["n_asserted"])
 
-    def test_not_bounded_below_rejected(self):
-        A = adjoint_window_square(UNW, 16)  # nilpotent: sigma_min = 0
-        basis = SubspaceBasis(np.eye(16, dtype=complex), orthonormal=True)
-        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3,), seed=0)
-        with pytest.raises(ValueError):
+    def test_not_bounded_below_rejected(self, monkeypatch):
+        A = adjoint_window_square(UNW, 16)  # column 0 is off the support: sigma_min = 0
+        basis = basis_with_complement(np.eye(16))
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        with pytest.raises(ValueError, match=r"not bounded below on the window: sigma_min=0\.000e\+00 < 0\.1"):
             semicontinuity_run(A, basis, basis, plan, 2)
+        assert calls == []
 
     def test_zero_trials_rejected(self):
         T = shift_window(UNW, 16)
@@ -189,16 +206,21 @@ class TestSemicontinuity:
 
 
 class TestSupportPath:
-    """Windows with a known support against the same matrices without one (dense path)."""
+    """The structured path against dense references computed here."""
 
     @pytest.mark.parametrize("kind, eps", [("weight_jitter", 1e-3)])
     def test_perturb_uses_the_support_and_matches_the_scan(self, kind, eps):
         T = shift_window(BER, 40)
         plan = PerturbationPlan(kind=kind, epsilon_schedule=(eps,), seed=6)
         known = perturb(T, plan, eps, stream_tags=(2, 1))
-        scanned = perturb(OperatorWindow(T.matrix), plan, eps, stream_tags=(2, 1))
-        assert np.array_equal(known.window.matrix, scanned.window.matrix)
-        assert known.delta_norm == scanned.delta_norm
+        # the jitter drawn for the nonzeros in np.nonzero's scan order
+        rows, cols = np.nonzero(T.matrix)
+        entries = T.matrix[rows, cols]
+        bound = eps / np.max(np.abs(entries))
+        scanned = T.matrix.copy()
+        scanned[rows, cols] *= 1.0 + stream(6, TAG_JITTER, 2, 1).uniform(-bound, bound, size=len(rows))
+        assert np.array_equal(known.window.matrix, scanned)
+        assert known.delta_norm == np.max(np.abs(scanned[rows, cols] - entries))
         assert all(np.array_equal(a, b) for a, b in zip(known.window.support, T.support))
 
     @pytest.mark.parametrize("zeros, N", [([0.3, -0.4], 48), ([0.5j, -0.2 + 0.1j, 0.6], 40)])
@@ -208,13 +230,10 @@ class TestSupportPath:
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=tuple(2.0 ** -n for n in range(1, 11)),
                                 seed=13)
         known = semicontinuity_run(T, M_in, M_out, plan, 6)
-
-        def dense_perturb(*args, **kwargs):
-            pert = perturb(*args, **kwargs)
-            return Perturbation(OperatorWindow(pert.window.matrix), pert.delta_norm)
-
-        monkeypatch.setattr(stability, "perturb", dense_perturb)
-        dense = semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 6)
+        # rel_index with dense products in place of its row gathers
+        monkeypatch.setattr(subspaces, "_window_image", lambda T, Q: T.matrix @ Q)
+        monkeypatch.setattr(subspaces, "_adjoint_image", lambda T, W: T.matrix.conj().T @ W)
+        dense = semicontinuity_run(T, M_in, M_out, plan, 6)
         assert known.per_step == dense.per_step
         assert known.metrics == dense.metrics
         assert known.to_json_bytes() == dense.to_json_bytes()
@@ -230,9 +249,9 @@ class TestSupportPath:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
         semicontinuity_run(T, M_in, M_out, plan, 3)
         assert calls == []
-        # a dense T costs sigma_min and the base index; the jittered windows carry the scanned support
-        semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 3)
-        assert len(calls) == 2
+        with pytest.raises(ValueError, match="semicontinuity_run needs a window with a support"):
+            semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 3)
+        assert calls == []
 
     def test_closed_form_sigma_min_rejects_like_the_svd(self):
         N = 24
@@ -240,9 +259,9 @@ class TestSupportPath:
         M[6, 5] = 0.05
         basis_in, basis_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)
-        for T in (OperatorWindow(M, support=shift_window(UNW, N).support), OperatorWindow(M)):
-            with pytest.raises(ValueError, match="sigma_min=5.000e-02 < 0.1"):
-                semicontinuity_run(T, basis_in, basis_out, plan, 2)
+        assert np.linalg.svd(M, compute_uv=False)[-1] == 0.05
+        with pytest.raises(ValueError, match="sigma_min=5.000e-02 < 0.1"):
+            semicontinuity_run(OperatorWindow(M, support=shift_window(UNW, N).support), basis_in, basis_out, plan, 2)
 
 
 class TestBeurlingIndexSweep:
