@@ -13,7 +13,6 @@ the absence of a blow-up trend under degree doubling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +46,6 @@ class CoefficientSeries:
     @classmethod
     def zero(cls) -> "CoefficientSeries":
         return cls(np.zeros(0))
-
-    @classmethod
-    def from_roots(cls, roots) -> "CoefficientSeries":
-        p = np.array([1.0 + 0j])
-        for r in roots:
-            p = np.convolve(p, np.array([-complex(r), 1.0 + 0j]))
-        return cls(p)
 
     def __call__(self, z: complex) -> complex:
         acc = 0.0 + 0j
@@ -179,7 +171,8 @@ def algebra_constant(w: WeightSequence | None, N: int) -> AlgebraConstantReport:
     with w=None the specialized kernel (n+1)^2/((k+1)^2 (n-k+1)^2) is used.
     The square root of the reported value multiplies norms in the product
     inequality; the value itself is a valid (weaker) constant since it
-    is >= 1 whenever omega(0) = 1.
+    is >= 1 whenever omega(0) = 1. unbounded_trend marks sums still growing
+    at N; the value is then a lower bound only.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -199,8 +192,6 @@ def algebra_constant(w: WeightSequence | None, N: int) -> AlgebraConstantReport:
     grid = _sample_grid(N)
     half = values[N // 2] if N >= 2 else values[0]
     unbounded = argmax == N and N >= 4 and values[N] >= 1.2 * half
-    if unbounded:
-        warnings.warn("convolution kernel sums keep growing; constant is a lower bound only", RuntimeWarning)
     return AlgebraConstantReport(
         value=float(running[-1]),
         argmax=argmax,

@@ -1,10 +1,11 @@
 """Perturbation generators and stability / semicontinuity experiments.
 
-Every experiment is a pure function of its configuration: random
+Every experiment is a pure function of its configuration. Random
 directions come from named Philox streams keyed by (seed, experiment tag,
-trial, step), so re-running with the same plan reproduces per-step metrics
-bit for bit. The three drivers run BLAS on one thread (`_blas`), so the
-bits do not depend on OPENBLAS_NUM_THREADS or the core count either.
+trial, step), so a re-run reproduces per-step metrics bit for bit; the
+drivers run BLAS on one thread (`_blas`), so neither OPENBLAS_NUM_THREADS
+nor the core count moves a bit. What depends only on the operator and the
+roots (norm stability's chain span) is built once per run, not per step.
 
 Perturbation kinds: dense_random adds a normalized dense Gaussian
 direction of prescribed operator norm; weight_jitter multiplies each weight
@@ -33,7 +34,9 @@ from .subspaces import (
     InvarianceError,
     RankDeficiencyError,
     SubspaceBasis,
-    reconstruct_chain_subspace,
+    chain_reference_basis,
+    kernel_of_polynomial,
+    projection_distance,
     rel_index,
     vanishing_subspace,
 )
@@ -118,42 +121,40 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
                        N: int = 200) -> ExperimentReport:
     """Reconstruction distance against perturbation size, with slope fit.
 
-    For each epsilon in the schedule, perturbs the square adjoint window,
-    takes the kernel of p(S) for p with the roots p_roots, and records its
-    projection distance to the unperturbed chain span; a step whose chain
-    vectors are dependent is a failure. Verdict: pass when no step failed,
-    the log-log slope lies in [0.9, 1.1] and the final distance is at most
-    10 times the smallest epsilon.
+    Builds the chain span of p_roots once (chain_reference_basis); then for
+    each epsilon perturbs the square adjoint window, takes the kernel of
+    p(S) and records its projection distance to that span. Dependent chain
+    vectors fail every step, each still perturbed for its delta_norm.
+    Verdict: pass when no step failed, the log-log slope lies in [0.9, 1.1]
+    and the final distance is at most 10 times the smallest epsilon.
     """
     roots = [complex(r) for r in p_roots]
     A0 = adjoint_window_square(w, N)
+    try:
+        reference, error = chain_reference_basis(w, roots, N), None
+    except RankDeficiencyError as exc:
+        reference, error = None, str(exc)
     per_step: list[dict] = []
     distances: list[float] = []
-    failures = 0
     for j, eps in enumerate(plan.epsilon_schedule):
         pert = perturb(A0, plan, eps, stream_tags=(TAG_STABILITY, j))
         entry: dict = {"epsilon": eps, "delta_norm": pert.delta_norm}
-        try:
-            rec = reconstruct_chain_subspace(w, roots, pert.window)
-            entry["distance"] = rec.distance
-            entry["kernel_sigma"] = float(np.max(rec.kernel_singular_values))
-            distances.append(rec.distance)
-        except RankDeficiencyError as exc:
-            entry["distance"] = None
-            entry["error"] = str(exc)
-            failures += 1
+        if reference is None:
+            entry.update(distance=None, error=error)
+        else:
+            ker = kernel_of_polynomial(pert.window, roots)
+            entry["distance"] = projection_distance(ker.basis, reference)
+            entry["kernel_sigma"] = float(np.max(ker.kernel_singular_values))
+            distances.append(entry["distance"])
         per_step.append(entry)
 
-    slope = fit_loglog_slope(
-        [s["epsilon"] for s in per_step if s.get("distance") is not None],
-        [s["distance"] for s in per_step if s.get("distance") is not None],
-    )
-    eps_min = plan.epsilon_schedule[-1]
-    if failures or not distances:
+    slope = fit_loglog_slope(plan.epsilon_schedule, distances) if distances else None
+    if not distances:  # a failed step, or an empty schedule
         verdict = VERDICT_FAIL
     elif slope is None:
         verdict = VERDICT_INCONCLUSIVE
-    elif SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1] and distances[-1] <= FINAL_DISTANCE_FACTOR * eps_min:
+    elif (SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]
+          and distances[-1] <= FINAL_DISTANCE_FACTOR * plan.epsilon_schedule[-1]):
         verdict = VERDICT_PASS
     else:
         verdict = VERDICT_FAIL
@@ -161,7 +162,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
         experiment="norm_stability",
         per_step=per_step,
         fitted_slope=slope,
-        metrics={"failures": failures, "final_distance": distances[-1] if distances else None},
+        metrics={"failures": len(per_step) - len(distances), "final_distance": distances[-1] if distances else None},
         verdict=verdict,
     )
 

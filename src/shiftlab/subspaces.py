@@ -9,6 +9,10 @@ then the certificate's lower bound on that ratio.
 
 rel_index is the invariance check: it takes the codomain subspace
 explicitly and reports the defect of T M_in against it.
+
+The stability experiment takes both its subspaces from the roots of p:
+chain_reference_basis spans the adjoint Jordan chains, kernel_of_polynomial
+the kernel of p(A), formed as the product of the factors (A - r_i).
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .beurling import CoefficientSeries
 from .operators import OperatorWindow, jordan_chain
 from .weights import WeightSequence
 
 DEFAULT_RANK_TOL = 1e-8
+# Invariance tolerance of a subspace that is invariant up to rounding; tol only decides rank.
+EXACT_INVARIANCE_TOL = 1e-8
 DEPENDENCE_TOL = 1e-10
 
 
@@ -223,16 +228,15 @@ def _certified_gap(T: OperatorWindow, tol: float) -> float | None:
 
 
 def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
-              tol: float = DEFAULT_RANK_TOL, invariance_tol: float | None = None) -> IndexResult:
+              tol: float = DEFAULT_RANK_TOL, invariance_tol: float = EXACT_INVARIANCE_TOL) -> IndexResult:
     """Finite-window surrogate of the index of T relative to a subspace.
 
-    Checks T M_in lies inside M_out within invariance_tol (default: tol),
-    then counts dim(M_out) - rank(T B_in) with the relative singular value
-    threshold tol * sigma_max. T must carry a support and M_out its
-    orthogonal complement W (vanishing_subspace's bases do); a basis M_in
-    not flagged orthonormal is orthonormalized on every call. The
-    invariance defect is the norm of (T* W)* Q_in, a codim x dim_in matrix,
-    with T* W a row gather.
+    Checks T M_in lies inside M_out within invariance_tol (tol decides only
+    the rank), then counts dim(M_out) - rank(T B_in) with the relative
+    singular value threshold tol * sigma_max. T must carry a support and
+    M_out its orthogonal complement W (vanishing_subspace's bases do); an
+    M_in not flagged orthonormal is orthonormalized on every call. The
+    defect is the norm of (T* W)* Q_in, with T* W a row gather.
 
     When the support covers every column and its entries pass
     min |s_j| > 2 max(tol, n eps) max |s_j| (see _certified_gap), the rank
@@ -248,12 +252,11 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
         raise ValueError("rel_index needs a window with a support")
     if M_out.complement is None:
         raise ValueError("rel_index needs an M_out with its orthogonal complement")
-    inv_tol = tol if invariance_tol is None else invariance_tol
     Q_in = orthonormalize(M_in).matrix
     out = orthonormalize(M_out)
     defect = _invariance_defect(T, Q_in, out)
-    if defect > inv_tol:
-        raise InvarianceError(defect, inv_tol)
+    if defect > invariance_tol:
+        raise InvarianceError(defect, invariance_tol)
     rank = Q_in.shape[1]
     gap = _certified_gap(T, tol) if rank else math.inf
     if gap is None:
@@ -311,15 +314,14 @@ def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:
 
 # -- polynomial kernels ------------------------------------------------------------
 
-def polynomial_of_window(A: OperatorWindow, coeffs) -> OperatorWindow:
-    """Evaluate p(A) by Horner's rule on a square window; coeffs[k] multiplies z^k."""
+def polynomial_of_window(A: OperatorWindow, roots) -> OperatorWindow:
+    """p(A) = (A - r_1) ... (A - r_m) on a square window, m >= 1, in m - 1 matrix products."""
     if not A.is_square:
         raise ValueError("polynomial evaluation needs a square window")
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
     eye = np.eye(A.rows, dtype=np.complex128)
-    P = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
-        P = P @ A.matrix + c * eye
+    P = A.matrix - roots[0] * eye
+    for r in roots[1:]:
+        P = P @ (A.matrix - r * eye)
     return OperatorWindow(P)
 
 
@@ -329,70 +331,41 @@ class KernelSpan:
     kernel_singular_values: np.ndarray
 
 
-def kernel_of_polynomial(A: OperatorWindow, coeffs, dim: int) -> KernelSpan:
-    """Numerical kernel of p(A), p given by its coefficients: the dim smallest right singular vectors.
+def kernel_of_polynomial(A: OperatorWindow, roots) -> KernelSpan:
+    """Numerical kernel of p(A), p given by its roots: the m = len(roots) smallest right singular vectors.
 
-    The kernel dimension is forced, for settings where it is known a
-    priori and survives perturbations that would defeat a fixed threshold.
+    The dimension is forced to m, the dimension of the chain span p
+    annihilates, so no perturbation can move it as it moves a rank threshold.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if len(coeffs) < 2:
-        raise ValueError("polynomial degree must be >= 1")
-    P = polynomial_of_window(A, coeffs)
-    U, s, Vh = np.linalg.svd(P.matrix)
-    if not 1 <= dim <= len(s):
-        raise ValueError(f"forced kernel dimension {dim} out of range")
-    K = Vh.conj().T[:, len(s) - dim:]
-    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - dim:])
+    m = len(roots)
+    if not 1 <= m <= A.rows:
+        raise ValueError(f"forced kernel dimension {m} out of range 1 .. {A.rows}")
+    U, s, Vh = np.linalg.svd(polynomial_of_window(A, roots).matrix)
+    K = Vh.conj().T[:, len(s) - m:]
+    return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - m:])
 
 
-# -- chain-subspace reconstruction ------------------------------------------------
-
-@dataclass
-class ReconstructionResult:
-    reference: SubspaceBasis
-    distance: float
-    kernel_singular_values: np.ndarray
-
+# -- chain-subspace reference ----------------------------------------------------
 
 def chain_reference_basis(w: WeightSequence, roots, N: int) -> SubspaceBasis:
-    """Span of the adjoint Jordan chains over the given roots (with repeats)."""
-    vectors = []
-    for lam, m in Counter(complex(r) for r in roots).items():
-        vectors.extend(jordan_chain(w, lam, m, N).vectors)
-    return SubspaceBasis.from_vectors(vectors)
+    """Orthonormal basis of the span of the adjoint Jordan chains over `roots` (with repeats).
 
-
-def reconstruct_chain_subspace(w: WeightSequence, roots, A: OperatorWindow) -> ReconstructionResult:
-    """Rebuild the chain-spanned invariant subspace from a window of A.
-
-    The reference is the span of the adjoint Jordan chains for `roots`,
-    and the reconstruction is the kernel K of p(A) for p with those roots,
-    its dimension forced to deg p; the result is the projection-norm
-    distance between the two. A is typically a perturbed square adjoint
-    window. A reference whose chain vectors are numerically dependent (two
-    roots closer than the window resolves) raises RankDeficiencyError.
+    This is ker p(T*), p(z) = prod (z - r_i), cut to its first N coordinates.
+    Each root must satisfy |r| <= 0.9 r_point and repeat at most 3 times.
+    Chain vectors that are numerically dependent (two roots closer than the
+    window resolves) raise RankDeficiencyError.
     """
-    roots = [complex(r) for r in roots]
-    m = len(roots)
-    if m == 0:
-        raise ValueError("need at least one root")
-    if not A.is_square:
-        raise ValueError("reconstruction needs a square window")
-    N = A.rows
-    r_point = w.r_point(N)
-    for r in roots:
-        if abs(r) > 0.9 * r_point:
-            raise ValueError(f"root {r} outside 0.9 * r_point = {0.9 * r_point:.6g}")
-    r, count = Counter(roots).most_common(1)[0]
+    counts = Counter(complex(r) for r in roots)
+    if not counts:
+        raise ValueError("p_roots must list at least one root")
+    cap = 0.9 * w.r_point(N)
+    for r in counts:
+        if abs(r) > cap:
+            raise ValueError(f"p_roots: root {r} outside 0.9 * r_point = {cap:.6g}")
+    r, count = counts.most_common(1)[0]
     if count > 3:
-        raise ValueError(f"multiplicity of root {r} exceeds 3")
-
-    reference = chain_reference_basis(w, roots, N)
-    ref_ortho = orthonormalize(reference)
-    ker = kernel_of_polynomial(A, CoefficientSeries.from_roots(roots).coeffs, dim=m)
-    return ReconstructionResult(
-        reference=ref_ortho,
-        distance=projection_distance(ker.basis, ref_ortho),
-        kernel_singular_values=ker.kernel_singular_values,
-    )
+        raise ValueError(f"p_roots: multiplicity of root {r} exceeds 3")
+    vectors = []
+    for lam, m in counts.items():
+        vectors.extend(jordan_chain(w, lam, m, N).vectors)
+    return orthonormalize(SubspaceBasis.from_vectors(vectors))

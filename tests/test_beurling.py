@@ -159,8 +159,7 @@ class TestAlgebraConstant:
         assert gen.value == pytest.approx(spec.value, rel=1e-12)
 
     def test_flat_weight_flags_unbounded_trend(self):
-        with pytest.warns(RuntimeWarning):
-            rep = algebra_constant(polynomial_weight(0.0, 256), 256)
+        rep = algebra_constant(polynomial_weight(0.0, 256), 256)
         assert rep.unbounded_trend
         # kernel sum is n+1 for omega = 1
         assert rep.kernel_values[-1] == pytest.approx(257.0)

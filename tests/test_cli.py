@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,28 @@ class TestCommands:
         assert "min_sep" in capsys.readouterr().err
         assert not (tmp_path / "ms.report.json").exists()
 
+    def test_rank_tol_does_not_set_the_invariance_tol(self, tmp_path, monkeypatch):
+        # the zero-based subspaces are invariant up to a defect of 1.3e-15, above this rank threshold
+        assert run_cli(["beurling-index", "--rank-tol", "1e-15", "--output", "rt"], tmp_path, monkeypatch) == 0
+        assert all(s["index"] == 1 for s in read_report(tmp_path, "rt")["per_step"])
+
+    def test_loose_rank_tol_does_not_admit_a_non_invariant_base(self, tmp_path, monkeypatch, capsys):
+        # the bergman base subspace has defect 1.96e-2; the base check stays at the fixed 1e-8
+        argv = ["semicont", "--weight", "bergman", "--trials", "40", "--rank-tol", "0.05",
+                "--invariance-tol", "0.05", "--output", "lb"]
+        assert run_cli(argv, tmp_path, monkeypatch) == 1
+        assert "defect 1.960e-02 > tol 1.000e-08" in capsys.readouterr().err
+        assert not (tmp_path / "lb.report.json").exists()
+
+    @pytest.mark.parametrize("roots, message", [
+        ("0.95", "p_roots: root (0.95+0j) outside 0.9 * r_point = 0.9"),
+        ("0.1,0.1,0.1,0.1", "p_roots: multiplicity of root (0.1+0j) exceeds 3"),
+    ], ids=["outside-the-disc", "multiplicity"])
+    def test_stability_root_errors_name_p_roots(self, tmp_path, monkeypatch, capsys, roots, message):
+        assert run_cli(["stability", "--p-roots", roots, "--output", "pr"], tmp_path, monkeypatch) == 1
+        assert f"[shiftlab] error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "pr.report.json").exists()
+
     def test_beurling_check_with_weight_file(self, tmp_path, monkeypatch):
         wfile = tmp_path / "w.txt"
         wfile.write_text("\n".join(str(float((n + 1) ** 3)) for n in range(300)), encoding="utf-8")
@@ -438,6 +461,18 @@ class TestCommands:
         code = run(RunConfig(command="radii", weight="unweighted", N=128, output="direct"))
         assert code == 0
         assert (tmp_path / "direct.report.json").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_at_its_defaults_writes_one_stderr_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("SHIFTLAB_SEED", raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli([command, "--output", "d"], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert err.count("\n") == 1 and err.startswith(f"[shiftlab] {command}: verdict=")
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):

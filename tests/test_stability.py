@@ -105,6 +105,16 @@ class TestNormStabilityRun:
         assert rep.verdict == "fail" and rep.metrics["failures"] == len(EPS5)
         assert all(s["distance"] is None and "dependent" in s["error"] for s in rep.per_step)
 
+    def test_reference_is_built_once_per_run(self, monkeypatch):
+        # one chain per distinct root, not one per epsilon step
+        calls = []
+        original = subspaces.jordan_chain
+        monkeypatch.setattr(subspaces, "jordan_chain", lambda *a: calls.append(a[1]) or original(*a))
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=EPS5, seed=42)
+        rep = norm_stability_run(UNW, [0.3, -0.4], plan, N=200)
+        assert rep.verdict == "pass" and len(rep.per_step) == 5
+        assert calls == [0.3, -0.4]
+
     def test_degenerate_schedule_inconclusive(self):
         plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3,), seed=42)
         rep = norm_stability_run(BER, [0.3, -0.4], plan, N=100)
@@ -344,7 +354,7 @@ def _small_driver_calls():
     jitter = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3, 1e-4), seed=3)
     dense = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 1e-3), seed=3)
     return {
-        "norm_stability_run": ("reconstruct_chain_subspace", (BER, [0.3, -0.4], dense), {"N": 40}),
+        "norm_stability_run": ("kernel_of_polynomial", (BER, [0.3, -0.4], dense), {"N": 40}),
         "semicontinuity_run": ("rel_index", (T, M_in, M_out, jitter, 2), {}),
         "beurling_index_sweep": ("rel_index", ([[0.3], [0.1, -0.5j]], 32), {}),
     }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab._blas import one_blas_thread
 from shiftlab.operators import (
     OperatorWindow,
     adjoint_window_square,
@@ -13,18 +14,19 @@ from shiftlab.operators import (
     shift_window,
 )
 from shiftlab.report import fit_loglog_slope
-from shiftlab.seeding import TAG_BASIS, complex_gaussian, stream
-from shiftlab.stability import PerturbationPlan, perturb
+from shiftlab.seeding import TAG_BASIS, TAG_STABILITY, complex_gaussian, stream
+from shiftlab.stability import PerturbationPlan, norm_stability_run, perturb
 from shiftlab.subspaces import (
+    EXACT_INVARIANCE_TOL,
     InvarianceError,
     RankDeficiencyError,
     SubspaceBasis,
+    chain_reference_basis,
     gram_schmidt_projection,
     kernel_of_polynomial,
     orthonormalize,
     polynomial_of_window,
     projection_distance,
-    reconstruct_chain_subspace,
     _certified_gap,
     rel_index,
     vanishing_subspace,
@@ -328,16 +330,15 @@ class TestComplementDefect:
             assert res.defect == 0.0
 
 
-def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=None):
+def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=EXACT_INVARIANCE_TOL):
     """Reference: rel_index from the dense matrix of T, residual_defect and a rank SVD on every call.
 
     Returns (index, rank, dim_out, defect, gap).
     """
-    inv_tol = tol if invariance_tol is None else invariance_tol
     Q_in = orthonormalize(M_in).matrix
     defect = residual_defect(T, M_in, M_out)
-    if defect > inv_tol:
-        raise InvarianceError(defect, inv_tol)
+    if defect > invariance_tol:
+        raise InvarianceError(defect, invariance_tol)
     dim_out = M_out.dim
     if Q_in.shape[1] == 0:
         return dim_out, 0, dim_out, defect, math.inf
@@ -489,7 +490,7 @@ class TestSupportPath:
                 svd = CountingSvd(monkeypatch)
                 res = rel_index(S, M_in, M_out, tol=1e-15)
                 assert svd.calls == 0 and res.rank == N
-                assert_matches_the_dense_reference(S, M_in, M_out, tol=1e-15, invariance_tol=None)
+                assert_matches_the_dense_reference(S, M_in, M_out, tol=1e-15, invariance_tol=EXACT_INVARIANCE_TOL)
             else:
                 assert self.fallback(monkeypatch, S, M_in, M_out, tol=1e-15).rank == N
 
@@ -516,14 +517,17 @@ class TestSupportPath:
 
 
 class TestPolynomialOfWindow:
-    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [2.0], [0.3, -1j], [0.12, 0.1, 1.0], [1.0, 0, 0, 0.5 + 0.5j]])
-    def test_matches_the_power_sum(self, coeffs):
+    @pytest.mark.parametrize("roots", [
+        [0.0], [0.3 - 1j], [0.5, -0.4], [0.2, 0.2, -0.1j], [1.0, 0.5 + 0.5j, -2.0, 0.0],
+    ])
+    def test_matches_the_power_sum(self, roots):
         A = OperatorWindow(complex_gaussian(stream(3, TAG_BASIS, 9), (12, 12)))
+        coeffs = np.poly(roots)[::-1]  # coeffs[j] multiplies z^j
         ref = sum((c * np.linalg.matrix_power(A.matrix, j) for j, c in enumerate(coeffs)), np.zeros((12, 12)))
-        got = polynomial_of_window(A, np.array(coeffs, dtype=complex)).matrix
+        got = polynomial_of_window(A, roots).matrix
         assert np.allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
 
-    def test_degree_d_takes_d_products(self):
+    def test_m_roots_take_m_minus_1_products(self):
         class Counting(np.ndarray):
             products = 0
 
@@ -537,7 +541,7 @@ class TestPolynomialOfWindow:
 
         A = OperatorWindow(adjoint_window_square(BER, 20).matrix)
         A.matrix = A.matrix.view(Counting)
-        polynomial_of_window(A, [0.12, 0.1, 1.0])
+        polynomial_of_window(A, [0.3, -0.4, 0.2])
         assert Counting.products == 2
 
 
@@ -545,7 +549,7 @@ class TestKernelOfPolynomial:
     def test_single_root_matches_eigenvector(self):
         N = 200
         A = adjoint_window_square(BER, N)
-        ker = kernel_of_polynomial(A, [-0.5, 1.0], dim=1)  # z - 0.5
+        ker = kernel_of_polynomial(A, [0.5])
         assert ker.kernel_singular_values.max() <= 1e-12
         f = eigenvector_f1(BER, 0.5, N).vectors[0]
         assert projection_distance(ker.basis, SubspaceBasis.from_vectors([f])) <= 1e-8
@@ -553,7 +557,7 @@ class TestKernelOfPolynomial:
     def test_two_roots_span_both_eigenvectors(self):
         N = 200
         A = adjoint_window_square(BER, N)
-        ker = kernel_of_polynomial(A, np.convolve([-0.3, 1.0], [0.4, 1.0]), dim=2)
+        ker = kernel_of_polynomial(A, [0.3, -0.4])
         assert ker.kernel_singular_values.max() <= 1e-12
         f1 = eigenvector_f1(BER, 0.3, N).vectors[0]
         f2 = eigenvector_f1(BER, -0.4, N).vectors[0]
@@ -562,35 +566,35 @@ class TestKernelOfPolynomial:
 
     def test_zero_matrix_full_kernel(self):
         A = OperatorWindow(np.zeros((6, 6), dtype=complex))
-        ker = kernel_of_polynomial(A, [0.0, 1.0], dim=6)  # p(z) = z
+        ker = kernel_of_polynomial(A, [0.0] * 6)  # p(z) = z^6
         assert np.array_equal(ker.kernel_singular_values, np.zeros(6))
         assert np.allclose(ker.basis.matrix @ ker.basis.matrix.conj().T, np.eye(6))
 
     @pytest.mark.parametrize("dim", [0, 5])
     def test_forced_dimension_must_fit_the_window(self, dim):
+        # the kernel dimension is the root count
         A = OperatorWindow(np.eye(4, dtype=complex))
         with pytest.raises(ValueError, match="forced kernel dimension"):
-            kernel_of_polynomial(A, [-3.0, 1.0], dim=dim)
+            kernel_of_polynomial(A, [3.0] * dim)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_agreement_with_jordan_chain(self, m):
         N = 200
         lam = 0.45
         A = adjoint_window_square(BER, N)
-        p = np.array([1.0 + 0j])
-        for _ in range(m):
-            p = np.convolve(p, [-lam, 1.0])
-        ker = kernel_of_polynomial(A, p, dim=m)
+        ker = kernel_of_polynomial(A, [lam] * m)
         chain = jordan_chain(BER, lam, m, N)
         ref = SubspaceBasis.from_vectors(chain.vectors)
         assert projection_distance(ker.basis, ref) <= 1e-7
 
 
 class TestReconstruction:
+    """The stability step: the kernel of p(A) against the chain span of the same roots."""
+
     def test_exact_window_reconstructs_itself(self):
         A = adjoint_window_square(BER, 200)
-        rec = reconstruct_chain_subspace(BER, [0.3, -0.4], A)
-        assert rec.distance <= 1e-9
+        ref = chain_reference_basis(BER, [0.3, -0.4], 200)
+        assert projection_distance(kernel_of_polynomial(A, [0.3, -0.4]).basis, ref) <= 1e-9
 
     def test_small_perturbation_small_distance(self):
         N = 200
@@ -598,47 +602,69 @@ class TestReconstruction:
         rng = stream(3, TAG_BASIS, 2)
         G = complex_gaussian(rng, (N, N))
         G /= np.linalg.norm(G, 2)
-        rec = reconstruct_chain_subspace(
-            BER, [0.3, -0.4], OperatorWindow(A0 + 1e-4 * G)
-        )
-        assert rec.distance <= 100 * 1e-4
+        ker = kernel_of_polynomial(OperatorWindow(A0 + 1e-4 * G), [0.3, -0.4])
+        assert projection_distance(ker.basis, chain_reference_basis(BER, [0.3, -0.4], N)) <= 100 * 1e-4
 
     def test_distance_is_that_of_the_kernel_of_p(self):
+        # every step of the driver is the distance of the kernel of p(S) to one reference
         N, roots = 120, [0.3, -0.4, 0.2]
-        G = complex_gaussian(stream(4, TAG_BASIS, 5), (N, N))
-        A = OperatorWindow(adjoint_window_square(UNW, N).matrix + 1e-3 * G / np.linalg.norm(G, 2))
-        rec = reconstruct_chain_subspace(UNW, roots, A)
-        ker = kernel_of_polynomial(A, np.poly(roots)[::-1], dim=3)
-        assert rec.distance == projection_distance(ker.basis, rec.reference) <= 2e-3
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 1e-3), seed=4)
+        rep = norm_stability_run(UNW, roots, plan, N=N)
+
+        @one_blas_thread  # the driver's BLAS regime, so the bits agree
+        def step_by_hand(j, eps):
+            S = perturb(adjoint_window_square(UNW, N), plan, eps, stream_tags=(TAG_STABILITY, j)).window
+            ker = kernel_of_polynomial(S, roots)
+            distance = projection_distance(ker.basis, chain_reference_basis(UNW, roots, N))
+            return distance, float(np.max(ker.kernel_singular_values))
+
+        for j, step in enumerate(rep.per_step):
+            assert (step["distance"], step["kernel_sigma"]) == step_by_hand(j, step["epsilon"])
+            assert step["distance"] <= 2 * step["epsilon"]
 
     @pytest.mark.parametrize("roots", [[0.3, -0.4], [0.0]], ids=["two-roots", "root-at-zero"])
     def test_distance_slope_linear(self, roots):
         N = 150
         A0 = adjoint_window_square(BER, N).matrix
+        reference = chain_reference_basis(BER, roots, N)
         eps_list = [1e-2, 1e-3, 1e-4, 1e-5]
         dists = []
         for j, eps in enumerate(eps_list):
             rng = stream(17, TAG_BASIS, 3, j)
             G = complex_gaussian(rng, (N, N))
             G /= np.linalg.norm(G, 2)
-            rec = reconstruct_chain_subspace(
-                BER, roots, OperatorWindow(A0 + eps * G)
-            )
-            dists.append(rec.distance)
+            ker = kernel_of_polynomial(OperatorWindow(A0 + eps * G), roots)
+            dists.append(projection_distance(ker.basis, reference))
         assert fit_loglog_slope(eps_list, dists) == pytest.approx(1.0, abs=0.1)
 
     def test_root_at_zero_reference_is_e0(self):
-        A = adjoint_window_square(BER, 60)
-        rec = reconstruct_chain_subspace(BER, [0.0], A)
-        assert abs(abs(rec.reference.matrix[0, 0]) - 1.0) < 1e-12
+        ref = chain_reference_basis(BER, [0.0], 60)
+        assert ref.orthonormal and ref.dim == 1
+        assert abs(abs(ref.matrix[0, 0]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("roots", [[0.3, -0.4], [0.3, 0.3, -0.4 + 0.2j, 0.1j]])
+    def test_reference_is_orthonormal_and_spans_the_chains(self, roots):
+        N = 80
+        ref = chain_reference_basis(BER, roots, N)
+        assert ref.orthonormal and ref.dim == len(roots)
+        assert np.allclose(ref.matrix.conj().T @ ref.matrix, np.eye(len(roots)), rtol=0, atol=1e-12)
+        for lam in set(roots):
+            chain = SubspaceBasis.from_vectors(jordan_chain(BER, lam, roots.count(lam), N).vectors)
+            residual = chain.matrix - ref.matrix @ (ref.matrix.conj().T @ chain.matrix)
+            assert np.linalg.norm(residual, 2) <= 1e-10 * np.linalg.norm(chain.matrix, 2)
+
+    def test_dependent_roots_raise_rank_deficiency(self):
+        with pytest.raises(RankDeficiencyError):
+            chain_reference_basis(UNW, [0.5, 0.5000000000001], 200)
+
+    def test_needs_a_root(self):
+        with pytest.raises(ValueError, match="p_roots must list at least one root"):
+            chain_reference_basis(BER, [], 60)
 
     def test_root_outside_disc_rejected(self):
-        A = adjoint_window_square(BER, 60)
-        with pytest.raises(ValueError):
-            reconstruct_chain_subspace(BER, [0.99], A)
+        with pytest.raises(ValueError, match=r"^p_roots: root \(0.99\+0j\) outside 0.9 \* r_point"):
+            chain_reference_basis(BER, [0.99], 60)
 
     def test_multiplicity_cap(self):
-        A = adjoint_window_square(BER, 60)
-        with pytest.raises(ValueError):
-            reconstruct_chain_subspace(BER, [0.1, 0.1, 0.1, 0.1], A)
-
+        with pytest.raises(ValueError, match=r"^p_roots: multiplicity of root \(0.1\+0j\) exceeds 3"):
+            chain_reference_basis(BER, [0.1, 0.1, 0.1, 0.1], 60)
