@@ -211,17 +211,17 @@ def _wa_parts(p: np.ndarray, F1: np.ndarray, F2: np.ndarray, w: WeightSequence):
     return _weighted_norms(_cauchy_rows(PF1, F2), w), _weighted_norms(PF1, w), _weighted_norms(PF2, w)
 
 
-def check_wa_batch(p: CoefficientSeries, w: WeightSequence, degree: int,
-                   n_pairs: int, seed: int) -> float:
-    """Empirical max of ||p f1 f2|| / (||p f1|| ||p f2||) over seeded random pairs.
+_Z_MINUS_1 = np.array([-1.0 + 0j, 1.0 + 0j])
+
+
+def check_wa_batch(w: WeightSequence, degree: int, n_pairs: int, seed: int) -> float:
+    """Empirical max of ||p f1 f2|| / (||p f1|| ||p f2||), p = z - 1, over seeded random pairs.
 
     Pairs with p f1 = 0 or p f2 = 0 are skipped; with none left the max is 0.0.
     """
-    if p.is_zero:
-        return 0.0
     worst = 0.0
     for F1, F2 in _batches(seed, 1, n_pairs, degree + 1, 2):
-        num, d1, d2 = _wa_parts(p.coeffs, F1, F2, w)
+        num, d1, d2 = _wa_parts(_Z_MINUS_1, F1, F2, w)
         worst = max(worst, float(np.max(num / (d1 * d2))))
     return worst
 
@@ -238,9 +238,6 @@ def divide_by_z_minus_1(g: CoefficientSeries) -> CoefficientSeries:
         return CoefficientSeries.zero()
     tails = np.cumsum(g.coeffs[::-1])[::-1]
     return CoefficientSeries(tails[1:])
-
-
-_Z_MINUS_1 = np.array([-1.0 + 0j, 1.0 + 0j])
 
 
 def _wc_ratios(F: np.ndarray, w: WeightSequence) -> np.ndarray:

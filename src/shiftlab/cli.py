@@ -296,10 +296,9 @@ def _run_beurling_check(config: RunConfig) -> ExperimentReport:
     the last degree) is reported but is not part of the verdict.
     """
     w = load_weight(config.weight)
-    p = bl.CoefficientSeries([-1.0, 1.0])  # z - 1
     per_step = []
     for d in (config.degree, 2 * config.degree):
-        wa_max = bl.check_wa_batch(p, w, d, config.batch, config.seed)
+        wa_max = bl.check_wa_batch(w, d, config.batch, config.seed)
         wc_min = bl.check_wc_batch(w, d, config.batch, config.seed)
         dlo, dhi = bl.derivative_probe_batch(w, d, config.batch, config.seed)
         per_step.append({

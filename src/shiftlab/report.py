@@ -1,16 +1,19 @@
 """Structured experiment reports with deterministic serialization.
 
-Reports serialize to canonical JSON: keys sorted, floats printed with 17
-significant digits, complex numbers as [re, im] pairs. Identical inputs
-and seeds therefore produce byte-identical files. Step tables additionally
-export as CSV for external plotting.
+Reports serialize to canonical JSON through the standard `json` encoder:
+keys sorted, no spaces, raw UTF-8 strings, floats in Python's shortest
+round-trip form (NaN and Infinity as those tokens), numpy values as
+their Python equivalents and complex numbers as [re, im] pairs.
+Identical inputs and seeds therefore produce byte-identical files. Step
+tables additionally export as CSV for external plotting: a missing value
+is an empty cell, a string is written as is, a complex number as a+bi
+(the CLI's input syntax) and anything else as the same JSON text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import math
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,51 +26,17 @@ VERDICT_FAIL = "fail"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def _canonical(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return f"[{_format_float(z.real)},{_format_float(z.imag)}]"
-    if isinstance(value, str):
-        out = io.StringIO()
-        out.write('"')
-        for ch in value:
-            if ch in '"\\':
-                out.write("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.write(f"\\u{ord(ch):04x}")
-            else:
-                out.write(ch)
-        out.write('"')
-        return out.getvalue()
-    if isinstance(value, np.ndarray):
-        return _canonical(value.tolist())
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        body = ",".join(f"{_canonical(str(k))}:{_canonical(v)}" for k, v in items)
-        return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
+def _plain(value):
+    """The `json` hook: complex -> [re, im], numpy scalars and arrays -> Python values."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r} canonically")
 
 
-def canonical_json(value) -> bytes:
-    return (_canonical(value) + "\n").encode("utf-8")
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_plain)
 
 
 @dataclass
@@ -83,7 +52,7 @@ class ExperimentReport:
     schema: str = SCHEMA_VERSION
 
     def to_json_bytes(self) -> bytes:
-        return canonical_json(vars(self))
+        return (_json(vars(self)) + "\n").encode("utf-8")
 
     def write(self, prefix) -> list[Path]:
         """Write <prefix>.report.json and, when steps exist, <prefix>.steps.csv."""
@@ -111,16 +80,12 @@ class ExperimentReport:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return f"{_format_float(z.real)}+{_format_float(z.imag)}i"
-    return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, complex):
+        re, im = (_json(part) for part in (value.real, value.imag))
+        return f"{re}{'' if im.startswith('-') else '+'}{im}i"
+    return _json(value)
 
 
 def fit_loglog_slope(xs, ys) -> float | None:

@@ -118,17 +118,20 @@ def orthonormalize(basis: SubspaceBasis) -> SubspaceBasis:
     Rejects the first column j whose |R_jj|, the norm of its residual
     after projecting out columns 0 .. j-1, falls below DEPENDENCE_TOL
     times its original norm; the error's index j is the dimension that
-    columns 0 .. j-1 span. An orthonormal basis is returned as itself;
-    any other costs one QR per call.
+    columns 0 .. j-1 span, so with more columns than rows j is at most
+    ambient_dim. An orthonormal basis is returned as itself; any other
+    costs one QR per call.
     """
     if basis.orthonormal:
         return basis
     Q, R = np.linalg.qr(basis.matrix)
     diag = np.abs(np.diag(R))
     norms = np.linalg.norm(basis.matrix, axis=0)
-    for j in range(basis.dim):
+    for j in range(len(diag)):
         if diag[j] < DEPENDENCE_TOL * max(norms[j], 1e-300):
             raise RankDeficiencyError(j, float(diag[j] / max(norms[j], 1e-300)))
+    if basis.dim > basis.ambient_dim:
+        raise RankDeficiencyError(basis.ambient_dim, 0.0)
     return SubspaceBasis(Q, orthonormal=True)
 
 

@@ -1,9 +1,11 @@
 import argparse
+import csv
 import inspect
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -311,6 +313,15 @@ class TestCommands:
         assert f"[shiftlab] error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "pr.report.json").exists()
 
+    def test_more_roots_than_the_window_fail_every_step(self, tmp_path, monkeypatch, capsys):
+        # four chain vectors in C^3: a dependent reference, like the near-double root
+        argv = ["stability", "--N", "3", "--p-roots", "0.1,0.2,0.3,0.4", "--output", "wide"]
+        assert run_cli(argv, tmp_path, monkeypatch) == 2
+        doc = json.loads((tmp_path / "wide.report.json").read_text(encoding="utf-8"))
+        assert doc["metrics"]["failures"] == 5
+        assert all(s["distance"] is None and s["error"].startswith("basis vector 3 is dependent")
+                   for s in doc["per_step"])
+
     def test_beurling_check_with_weight_file(self, tmp_path, monkeypatch):
         wfile = tmp_path / "w.txt"
         wfile.write_text("\n".join(str(float((n + 1) ** 3)) for n in range(300)), encoding="utf-8")
@@ -473,6 +484,38 @@ def test_each_command_at_its_defaults_writes_one_stderr_line(tmp_path, monkeypat
     assert code == 0
     assert [str(w.message) for w in caught] == []
     assert err.count("\n") == 1 and err.startswith(f"[shiftlab] {command}: verdict=")
+    per_step = json.loads((tmp_path / "d.report.json").read_text(encoding="utf-8"))["per_step"]
+    assert (tmp_path / "d.steps.csv").exists() == bool(per_step)
+    if per_step:  # the CSV agrees with the JSON, cell by cell
+        with open(tmp_path / "d.steps.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == len(per_step)
+        for row, step in zip(rows, per_step):
+            assert set(step) <= set(header) and len(row) == len(header)
+            for key, cell in zip(header, row):
+                assert same_value(parse_cell(cell, step.get(key)), step.get(key)), (key, cell)
+
+
+def parse_cell(cell, value):
+    """A CSV cell read back: empty is None, a string column as is, a+bi as [re, im], else JSON."""
+    if cell == "":
+        return None
+    if isinstance(value, str):
+        return cell
+    try:
+        return json.loads(cell)
+    except ValueError:
+        z = parse_complex(cell)
+        return [z.real, z.imag]
+
+
+def same_value(a, b):
+    """Equal as report values: NaN matches NaN, and floats match bit for bit."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(same_value(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+    return type(a) is type(b) and a == b
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -75,6 +75,12 @@ class TestGramSchmidt:
             gram_schmidt_projection(basis)
         assert err.value.index == 2
 
+    def test_more_vectors_than_the_ambient_dimension_are_dependent(self):
+        basis = SubspaceBasis(complex_gaussian(stream(3, TAG_BASIS, 0), (3, 4)))
+        with pytest.raises(RankDeficiencyError) as err:
+            orthonormalize(basis)
+        assert err.value.index == 3
+
     def test_perturbation_slope_is_linear(self):
         # projection distance scales linearly in the basis perturbation
         rng = stream(99, TAG_BASIS, 0)
