@@ -204,14 +204,14 @@ def algebra_constant(w: WeightSequence | None, N: int) -> AlgebraConstantReport:
 
 # -- product inequality ------------------------------------------------------------
 
-def _wa_parts(p: np.ndarray, F1: np.ndarray, F2: np.ndarray, w: WeightSequence):
-    """Per row: ||p f1 f2||, ||p f1|| and ||p f2|| in the omega norm."""
-    PF1 = _cauchy_rows(p, F1)
-    PF2 = _cauchy_rows(p, F2)
-    return _weighted_norms(_cauchy_rows(PF1, F2), w), _weighted_norms(PF1, w), _weighted_norms(PF2, w)
-
-
 _Z_MINUS_1 = np.array([-1.0 + 0j, 1.0 + 0j])
+
+
+def _wa_parts(F1: np.ndarray, F2: np.ndarray, w: WeightSequence):
+    """Per row, p = z - 1: ||p f1 f2||, ||p f1|| and ||p f2|| in the omega norm."""
+    PF1 = _cauchy_rows(_Z_MINUS_1, F1)
+    PF2 = _cauchy_rows(_Z_MINUS_1, F2)
+    return _weighted_norms(_cauchy_rows(PF1, F2), w), _weighted_norms(PF1, w), _weighted_norms(PF2, w)
 
 
 def check_wa_batch(w: WeightSequence, degree: int, n_pairs: int, seed: int) -> float:
@@ -221,7 +221,7 @@ def check_wa_batch(w: WeightSequence, degree: int, n_pairs: int, seed: int) -> f
     """
     worst = 0.0
     for F1, F2 in _batches(seed, 1, n_pairs, degree + 1, 2):
-        num, d1, d2 = _wa_parts(_Z_MINUS_1, F1, F2, w)
+        num, d1, d2 = _wa_parts(F1, F2, w)
         worst = max(worst, float(np.max(num / (d1 * d2))))
     return worst
 

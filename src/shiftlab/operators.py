@@ -2,9 +2,9 @@
 
 The shift window is rectangular by design: it maps coordinates 0..N-1
 into 0..N exactly, so it carries no truncation error. Edge effects are
-confined to explicitly reported tail bounds. The adjoint comes as a square
-truncation, for polynomial evaluation and perturbation experiments, where
-a square matrix is needed; its only inexact row is the last one.
+confined to explicitly reported tail bounds. The adjoint comes as a dense
+square truncation, a plain array, for polynomial evaluation and dense
+perturbation experiments; its only inexact row is the last one.
 
 Chain vectors follow the normalization that f_{lam,k} has k-1 leading
 zeros and a real positive leading coordinate, which makes the coefficients
@@ -25,44 +25,40 @@ _TAIL_BLOCK = 1 << 16  # most tail terms, or runs of terms, evaluated per bound
 
 @dataclass(eq=False)
 class OperatorWindow:
-    """A rows x cols complex matrix acting from C^cols to C^rows.
+    """A rows x cols complex matrix acting from C^cols to C^rows, with its support.
 
-    `support`, when given, is a pair (rows, cols) of index arrays whose
-    positions hold every nonzero entry of the matrix, at most one per row
-    and one per column: the shape of a weighted shift, its adjoint, and
-    their weight-jittered copies. None means unknown: such a window serves
-    only dense products (polynomial kernels, dense perturbations), and the
-    index experiments reject it. The builders in this module and
-    stability.perturb set it; a window given a support keeps a read-only
-    view of its matrix, so the two cannot drift apart through the window.
-    Only distinctness and range are checked (O(N)); that the support holds
+    `support` is a pair (rows, cols) of index arrays whose positions hold
+    every nonzero entry of the matrix, at most one per row and one per
+    column: the shape of a weighted shift, its adjoint, and their
+    weight-jittered copies. The window keeps a read-only view of its
+    matrix, so the two cannot drift apart through the window. Only
+    distinctness and range are checked (O(N)); that the support holds
     every nonzero is the caller's promise. Windows compare by identity.
     """
 
     matrix: np.ndarray
-    support: tuple[np.ndarray, np.ndarray] | None = None
+    support: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         if self.matrix.ndim != 2:
             raise ValueError("window matrix must be 2-dimensional")
-        if self.support is not None:
-            rows, cols = (np.asarray(a, dtype=np.intp) for a in self.support)
-            if rows.ndim != 1 or rows.shape != cols.shape:
-                raise ValueError("support must be two index arrays of equal length")
-            for idx, size, name in ((rows, self.rows, "row"), (cols, self.cols, "column")):
-                if len(idx) and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1):
-                    raise ValueError(f"support {name} indices must be distinct and in [0, {size})")
-            self.support = (rows, cols)
-            self.matrix = self.matrix.view()
-            self.matrix.flags.writeable = False
+        rows, cols = (np.asarray(a, dtype=np.intp) for a in self.support)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError("support must be two index arrays of equal length")
+        for idx, size, name in ((rows, self.rows, "row"), (cols, self.cols, "column")):
+            if len(idx) and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1):
+                raise ValueError(f"support {name} indices must be distinct and in [0, {size})")
+        self.support = (rows, cols)
+        self.matrix = self.matrix.view()
+        self.matrix.flags.writeable = False
 
     @property
     def singular_value_range(self) -> tuple[float, float]:
-        """(min, max) singular value of a window with a support.
+        """(min, max) singular value of the window.
 
-        Such a window has T* T = diag(|s_j|^2), so its singular values are
-        the |s_j| on the support, and 0 for each column off it.
+        T* T = diag(|s_j|^2), so the singular values are the |s_j| on the
+        support, and 0 for each column off it.
         """
         rows, cols = self.support
         mags = np.abs(self.matrix[rows, cols])
@@ -76,16 +72,6 @@ class OperatorWindow:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-
-def _diagonal_support(alpha: np.ndarray, row_offset: int, col_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (k + row_offset, k + col_offset) of the nonzero alpha_k, in row order."""
-    k = np.flatnonzero(alpha)
-    return k + row_offset, k + col_offset
-
 
 def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     """(N+1) x N window of the shift: column n carries alpha_n at row n+1."""
@@ -95,23 +81,22 @@ def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     k = np.arange(N)
     alpha = w.alpha_array(N)
     M[k + 1, k] = alpha
-    return OperatorWindow(M, support=_diagonal_support(alpha, 1, 0))
+    nonzero = np.flatnonzero(alpha)
+    return OperatorWindow(M, support=(nonzero + 1, nonzero))
 
 
-def adjoint_window_square(w: WeightSequence, N: int) -> OperatorWindow:
-    """N x N truncation of the adjoint (superdiagonal alpha_0 .. alpha_{N-2}).
+def adjoint_window_square(w: WeightSequence, N: int) -> np.ndarray:
+    """N x N truncation of the adjoint (superdiagonal alpha_0 .. alpha_{N-2}), as a dense matrix.
 
-    Exact on every row but the last; suitable for Horner evaluation of
-    polynomials and for dense perturbation experiments. Column 0 is empty,
-    so the support never covers every column.
+    Exact on every row but the last; the matrix of the norm-stability
+    step, which evaluates p as a product of factors and perturbs densely.
     """
     if N < 2:
         raise ValueError("square adjoint window needs N >= 2")
     M = np.zeros((N, N), dtype=np.complex128)
     k = np.arange(N - 1)
-    alpha = w.alpha_array(N - 1)
-    M[k, k + 1] = alpha
-    return OperatorWindow(M, support=_diagonal_support(alpha, 0, 1))
+    M[k, k + 1] = w.alpha_array(N - 1)
+    return M
 
 
 # -- Jordan chains -------------------------------------------------------------

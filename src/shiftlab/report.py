@@ -35,8 +35,11 @@ def _plain(value):
     raise TypeError(f"cannot serialize {type(value)!r} canonically")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_plain)
+
+
 def _json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_plain)
+    return _ENCODER.encode(value)
 
 
 @dataclass

@@ -7,10 +7,11 @@ drivers run BLAS on one thread (`_blas`), so neither OPENBLAS_NUM_THREADS
 nor the core count moves a bit. What depends only on the operator and the
 roots (norm stability's chain span) is built once per run, not per step.
 
-Perturbation kinds: dense_random adds a normalized dense Gaussian
-direction of prescribed operator norm; weight_jitter multiplies each weight
-on the window's support by (1 + delta_n) with |delta_n| small enough to keep
-the operator norm change below epsilon.
+Perturbation kinds, one per driver: dense_random (norm_stability_run)
+adds to the dense adjoint truncation a Gaussian direction of prescribed
+operator norm; weight_jitter (semicontinuity_run, through perturb)
+multiplies each weight on the window's support by (1 + delta_n) with
+|delta_n| small enough to keep the operator norm change below epsilon.
 """
 
 from __future__ import annotations
@@ -71,9 +72,15 @@ class PerturbationPlan:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         self.epsilon_schedule = tuple(float(e) for e in self.epsilon_schedule)
         if any(e <= 0 for e in self.epsilon_schedule):
-            raise ValueError("epsilon schedule entries must be positive")
+            raise ValueError("eps: epsilon schedule entries must be positive")
         if any(b >= a for a, b in zip(self.epsilon_schedule, self.epsilon_schedule[1:])):
-            raise ValueError("epsilon schedule must be strictly decreasing")
+            raise ValueError("eps: epsilon schedule must be strictly decreasing")
+
+
+def _require_kind(plan: PerturbationPlan, kind: str, driver: str) -> None:
+    """Reject a plan of another kind before the driver's first step."""
+    if plan.kind != kind:
+        raise ValueError(f"{driver} needs a {kind!r} plan, got kind {plan.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -84,26 +91,15 @@ class Perturbation:
 
 def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
             stream_tags: tuple[int, ...] = ()) -> Perturbation:
-    """Produce a window S with ||S - T|| <= epsilon, reported exactly.
+    """Jitter the weights of T: a window S with ||S - T|| <= epsilon, reported exactly.
 
     stream_tags select the random substream (trial and step indices);
-    the same (plan.seed, stream_tags) always yields the same direction.
-    weight_jitter needs a window with a support and moves only the entries
-    on it, at most one per row and column, so ||S - T|| is the largest
-    entry change; S carries the same support.
+    the same (plan.seed, stream_tags) always yields the same jitter. Only
+    the entries on the support move, at most one per row and column, so
+    ||S - T|| is the largest entry change; S carries the same support.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if plan.kind == "dense_random":
-        M = T.matrix
-        rng = stream(plan.seed, TAG_DENSE, *stream_tags)
-        G = complex_gaussian(rng, M.shape)
-        G /= np.linalg.norm(G, 2)
-        S = M + epsilon * G
-        delta = float(np.linalg.norm(S - M, 2))
-        return Perturbation(OperatorWindow(S), delta)
-    if T.support is None:
-        raise ValueError("weight_jitter needs a window with a support")
     M = T.matrix.copy()
     rows, cols = T.support
     rng = stream(plan.seed, TAG_JITTER, *stream_tags)
@@ -116,18 +112,28 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
 
 # -- norm-stability experiment ---------------------------------------------------
 
+def _dense_step(A0: np.ndarray, seed: int, epsilon: float, j: int) -> tuple[np.ndarray, float]:
+    """S = A0 + epsilon G, G Gaussian of unit 2-norm from stream (seed, dense, stability, j), and ||S - A0||_2."""
+    G = complex_gaussian(stream(seed, TAG_DENSE, TAG_STABILITY, j), A0.shape)
+    G /= np.linalg.norm(G, 2)
+    S = A0 + epsilon * G
+    return S, float(np.linalg.norm(S - A0, 2))
+
+
 @one_blas_thread
 def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
                        N: int = 200) -> ExperimentReport:
     """Reconstruction distance against perturbation size, with slope fit.
 
     Builds the chain span of p_roots once (chain_reference_basis); then for
-    each epsilon perturbs the square adjoint window, takes the kernel of
-    p(S) and records its projection distance to that span. Dependent chain
+    each epsilon adds a dense Gaussian direction to the square adjoint
+    truncation (plan.kind must be dense_random), takes the kernel of p(S)
+    and records its projection distance to that span. Dependent chain
     vectors fail every step, each still perturbed for its delta_norm.
     Verdict: pass when no step failed, the log-log slope lies in [0.9, 1.1]
     and the final distance is at most 10 times the smallest epsilon.
     """
+    _require_kind(plan, "dense_random", "norm_stability_run")
     roots = [complex(r) for r in p_roots]
     A0 = adjoint_window_square(w, N)
     try:
@@ -137,12 +143,12 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
     per_step: list[dict] = []
     distances: list[float] = []
     for j, eps in enumerate(plan.epsilon_schedule):
-        pert = perturb(A0, plan, eps, stream_tags=(TAG_STABILITY, j))
-        entry: dict = {"epsilon": eps, "delta_norm": pert.delta_norm}
+        S, delta_norm = _dense_step(A0, plan.seed, eps, j)
+        entry: dict = {"epsilon": eps, "delta_norm": delta_norm}
         if reference is None:
             entry.update(distance=None, error=error)
         else:
-            ker = kernel_of_polynomial(pert.window, roots)
+            ker = kernel_of_polynomial(S, roots)
             entry["distance"] = projection_distance(ker.basis, reference)
             entry["kernel_sigma"] = float(np.max(ker.kernel_singular_values))
             distances.append(entry["distance"])
@@ -180,14 +186,14 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     a (trial, step) pair is asserted only once its invariance defect falls
     at or below invariance_tol, which the report makes visible. Trials
     where no step reaches the assertion threshold are counted as skipped.
-    T must carry a support, and sigma_min(T) is read from it
-    (T.singular_value_range): 0 when a column has no support position.
-    M_out must carry its orthogonal complement (see rel_index).
+    plan.kind must be weight_jitter (see perturb). sigma_min(T) is read
+    from the support (T.singular_value_range): 0 when a column has no
+    support position. M_out must carry its orthogonal complement (see
+    rel_index).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if T.support is None:
-        raise ValueError("semicontinuity_run needs a window with a support")
+    _require_kind(plan, "weight_jitter", "semicontinuity_run")
     s_min = T.singular_value_range[0]
     if s_min < DEFAULT_MIN_SIGMA:
         raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {DEFAULT_MIN_SIGMA}")

@@ -3,7 +3,7 @@
 All rank decisions are relative: a singular value counts as nonzero when
 it exceeds tol times the largest one, and every index result carries the
 gap between the last kept and first dropped singular value so callers can
-assert the decision was well conditioned. A window with a weighted-shift
+assert the decision was well conditioned. A window's weighted-shift
 support can certify full rank without an SVD (see rel_index); its gap is
 then the certificate's lower bound on that ratio.
 
@@ -12,7 +12,8 @@ explicitly and reports the defect of T M_in against it.
 
 The stability experiment takes both its subspaces from the roots of p:
 chain_reference_basis spans the adjoint Jordan chains, kernel_of_polynomial
-the kernel of p(A), formed as the product of the factors (A - r_i).
+the kernel of p(A), formed as the product of the factors (A - r_i) of
+a plain square matrix A.
 """
 
 from __future__ import annotations
@@ -94,13 +95,6 @@ class Projection:
     matrix: np.ndarray
     rank: int
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-
-
-def projection_from_orthonormal(Q: np.ndarray) -> Projection:
-    return Projection(matrix=Q @ Q.conj().T, rank=Q.shape[1])
-
 
 def gram_schmidt_projection(basis: SubspaceBasis) -> tuple[SubspaceBasis, Projection]:
     """Orthonormal basis of the span and its orthogonal projection.
@@ -109,7 +103,8 @@ def gram_schmidt_projection(basis: SubspaceBasis) -> tuple[SubspaceBasis, Projec
     trusts a basis flagged orthonormal and returns it as is, unchecked.
     """
     ortho = orthonormalize(basis)
-    return ortho, projection_from_orthonormal(ortho.matrix)
+    Q = ortho.matrix
+    return ortho, Projection(Q @ Q.conj().T, ortho.dim)
 
 
 def orthonormalize(basis: SubspaceBasis) -> SubspaceBasis:
@@ -142,9 +137,8 @@ def projection_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     angle between them (Golub & Van Loan, Matrix Computations, 4th ed.,
     2.5.3 and 6.4.3).
     """
-    Pa = projection_from_orthonormal(orthonormalize(a).matrix).matrix
-    Pb = projection_from_orthonormal(orthonormalize(b).matrix).matrix
-    return float(np.linalg.norm(Pa - Pb, 2))
+    Qa, Qb = orthonormalize(a).matrix, orthonormalize(b).matrix
+    return float(np.linalg.norm(Qa @ Qa.conj().T - Qb @ Qb.conj().T, 2))
 
 
 def _invariance_defect(T: OperatorWindow, Q_in: np.ndarray, out: SubspaceBasis) -> float:
@@ -236,8 +230,8 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
 
     Checks T M_in lies inside M_out within invariance_tol (tol decides only
     the rank), then counts dim(M_out) - rank(T B_in) with the relative
-    singular value threshold tol * sigma_max. T must carry a support and
-    M_out its orthogonal complement W (vanishing_subspace's bases do); an
+    singular value threshold tol * sigma_max. M_out must carry its
+    orthogonal complement W (vanishing_subspace's bases do); an
     M_in not flagged orthonormal is orthonormalized on every call. The
     defect is the norm of (T* W)* Q_in, with T* W a row gather.
 
@@ -251,8 +245,6 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     """
     if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
         raise ValueError("subspace dimensions do not match the window")
-    if T.support is None:
-        raise ValueError("rel_index needs a window with a support")
     if M_out.complement is None:
         raise ValueError("rel_index needs an M_out with its orthogonal complement")
     Q_in = orthonormalize(M_in).matrix
@@ -317,15 +309,15 @@ def vanishing_subspace(zeros, dim: int) -> SubspaceBasis:
 
 # -- polynomial kernels ------------------------------------------------------------
 
-def polynomial_of_window(A: OperatorWindow, roots) -> OperatorWindow:
-    """p(A) = (A - r_1) ... (A - r_m) on a square window, m >= 1, in m - 1 matrix products."""
-    if not A.is_square:
-        raise ValueError("polynomial evaluation needs a square window")
-    eye = np.eye(A.rows, dtype=np.complex128)
-    P = A.matrix - roots[0] * eye
+def polynomial_of_window(A: np.ndarray, roots) -> np.ndarray:
+    """p(A) = (A - r_1) ... (A - r_m) on a square matrix, m >= 1, in m - 1 matrix products."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("polynomial evaluation needs a square matrix")
+    eye = np.eye(len(A), dtype=np.complex128)
+    P = A - roots[0] * eye
     for r in roots[1:]:
-        P = P @ (A.matrix - r * eye)
-    return OperatorWindow(P)
+        P = P @ (A - r * eye)
+    return P
 
 
 @dataclass
@@ -334,16 +326,16 @@ class KernelSpan:
     kernel_singular_values: np.ndarray
 
 
-def kernel_of_polynomial(A: OperatorWindow, roots) -> KernelSpan:
+def kernel_of_polynomial(A: np.ndarray, roots) -> KernelSpan:
     """Numerical kernel of p(A), p given by its roots: the m = len(roots) smallest right singular vectors.
 
     The dimension is forced to m, the dimension of the chain span p
     annihilates, so no perturbation can move it as it moves a rank threshold.
     """
     m = len(roots)
-    if not 1 <= m <= A.rows:
-        raise ValueError(f"forced kernel dimension {m} out of range 1 .. {A.rows}")
-    U, s, Vh = np.linalg.svd(polynomial_of_window(A, roots).matrix)
+    if not 1 <= m <= len(A):
+        raise ValueError(f"forced kernel dimension {m} out of range 1 .. {len(A)}")
+    U, s, Vh = np.linalg.svd(polynomial_of_window(A, roots))
     K = Vh.conj().T[:, len(s) - m:]
     return KernelSpan(SubspaceBasis(K, orthonormal=True), s[len(s) - m:])
 

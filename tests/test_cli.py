@@ -360,6 +360,15 @@ class TestCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["stability", "--eps", "1e-3,1e-2"], "eps: epsilon schedule must be strictly decreasing"),
+        (["semicont", "--eps", "0.1,-1", "--trials", "2"], "eps: epsilon schedule entries must be positive"),
+    ])
+    def test_bad_eps_names_eps(self, tmp_path, monkeypatch, capsys, argv, message):
+        assert run_cli(argv + ["--output", "be"], tmp_path, monkeypatch) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "be.report.json").exists()
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_semicont_without_trials_exits_one(self, tmp_path, monkeypatch, capsys, trials):
         code = run_cli(["semicont", "--N", "32", "--trials", trials, "--output", "t0"], tmp_path, monkeypatch)

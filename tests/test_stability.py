@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftlab import _blas, stability, subspaces
-from shiftlab.operators import OperatorWindow, adjoint_window_square, shift_window
+from shiftlab.operators import OperatorWindow, shift_window
 from shiftlab.seeding import TAG_JITTER, TAG_ZERO_SETS, stream
 from shiftlab.stability import (
     PerturbationPlan,
@@ -15,7 +15,7 @@ from shiftlab.stability import (
 from shiftlab.subspaces import SubspaceBasis, vanishing_subspace
 from shiftlab.weights import WeightSequence
 
-from builders import basis_with_complement, direct_sum
+from builders import adjoint_window, basis_with_complement, direct_sum
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -25,11 +25,11 @@ EPS5 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 class TestPlanValidation:
     def test_schedule_must_decrease(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^eps: "):
             PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3, 1e-2), seed=0)
 
     def test_schedule_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^eps: "):
             PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 0.0), seed=0)
 
     def test_unknown_kind(self):
@@ -39,11 +39,10 @@ class TestPlanValidation:
 
 class TestPerturb:
     def test_dense_random_exact_norm(self):
-        T = shift_window(BER, 40)
-        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2,), seed=4)
-        pert = perturb(T, plan, 1e-2)
-        assert pert.delta_norm == pytest.approx(1e-2, abs=1e-12)
-        assert np.linalg.norm(pert.window.matrix - T.matrix, 2) == pytest.approx(1e-2, abs=1e-12)
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 1e-5), seed=4)
+        rep = norm_stability_run(BER, [0.3], plan, N=40)
+        for step in rep.per_step:
+            assert step["delta_norm"] == pytest.approx(step["epsilon"], abs=1e-12)
 
     def test_weight_jitter_entrywise_bound(self):
         T = shift_window(BER, 60)
@@ -63,12 +62,6 @@ class TestPerturb:
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
         pert = perturb(T, plan, 1e-3)
         assert np.linalg.norm(pert.window.matrix - T.matrix, 2) <= 1e-3 + 1e-15
-
-    def test_jitter_rejects_dense_window(self):
-        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
-        for T in (OperatorWindow(np.ones((4, 4), dtype=complex)), OperatorWindow(shift_window(UNW, 8).matrix)):
-            with pytest.raises(ValueError, match="weight_jitter needs a window with a support"):
-                perturb(T, plan, 1e-3)
 
 
 class TestNormStabilityRun:
@@ -142,6 +135,16 @@ class TestNormStabilityRun:
         rep_b = norm_stability_run(BER, [0.3], plan_b, N=80)
         assert rep_a.per_step != rep_b.per_step
 
+    def test_weight_jitter_plan_rejected_before_any_step(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a step ran before the plan's kind was checked")
+
+        for name in ("adjoint_window_square", "chain_reference_basis", "_dense_step", "kernel_of_polynomial"):
+            monkeypatch.setattr(stability, name, unreachable)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-2,), seed=0)
+        with pytest.raises(ValueError, match="norm_stability_run needs a 'dense_random' plan, got kind 'weight_jitter'"):
+            norm_stability_run(BER, [0.3], plan, N=40)
+
 
 class TestSemicontinuity:
     def test_near_zero_perturbation_keeps_equality(self):
@@ -187,15 +190,26 @@ class TestSemicontinuity:
         assert all(s["min_index"] == 2 for s in rep.per_step if s["n_asserted"])
 
     def test_not_bounded_below_rejected(self, monkeypatch):
-        A = adjoint_window_square(UNW, 16)  # column 0 is off the support: sigma_min = 0
-        basis = basis_with_complement(np.eye(16))
+        A = adjoint_window(UNW, 16)  # column 0 is off the support: sigma_min = 0
+        basis_in, basis_out = basis_with_complement(np.eye(17)), basis_with_complement(np.eye(16))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)
         calls = []
         original = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
         with pytest.raises(ValueError, match=r"not bounded below on the window: sigma_min=0\.000e\+00 < 0\.1"):
-            semicontinuity_run(A, basis, basis, plan, 2)
+            semicontinuity_run(A, basis_in, basis_out, plan, 2)
         assert calls == []
+
+    def test_dense_random_plan_rejected_before_any_step(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("rel_index ran before the plan's kind was checked")
+
+        monkeypatch.setattr(stability, "rel_index", unreachable)
+        T = shift_window(UNW, 16)
+        basis_in, basis_out = vanishing_subspace([0.2], 16), vanishing_subspace([0.2], 17)
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3,), seed=0)
+        with pytest.raises(ValueError, match="semicontinuity_run needs a 'weight_jitter' plan, got kind 'dense_random'"):
+            semicontinuity_run(T, basis_in, basis_out, plan, 2)
 
     def test_zero_trials_rejected(self):
         T = shift_window(UNW, 16)
@@ -258,9 +272,6 @@ class TestSupportPath:
         original = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
         semicontinuity_run(T, M_in, M_out, plan, 3)
-        assert calls == []
-        with pytest.raises(ValueError, match="semicontinuity_run needs a window with a support"):
-            semicontinuity_run(OperatorWindow(T.matrix), M_in, M_out, plan, 3)
         assert calls == []
 
     def test_closed_form_sigma_min_rejects_like_the_svd(self):
