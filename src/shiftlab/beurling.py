@@ -7,7 +7,10 @@ and degree-truncatable, so the function space itself is never materialized.
 
 The empirical batch sweeps (product inequality, division lower bound,
 derivative equivalence) are stability checks, not proofs: the contract is
-the absence of a blow-up trend under degree doubling.
+the absence of a blow-up trend under degree doubling. Each sweep reads one
+Philox stream (seed, TAG_SERIES, kind) in order: sample i is its draws
+[i K, (i+1) K), K = count * 2 * (degree + 1), so a sample does not depend
+on the block size and a larger batch only appends samples.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import TAG_SERIES, draw_uniform, philox_keys
+from .seeding import TAG_SERIES, stream
 from .weights import WeightSequence
 
 
@@ -106,30 +109,18 @@ def add(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
     return CoefficientSeries(f.padded(n) + g.padded(n))
 
 
-def _draw_block(seed: int, kind: int, start: int, stop: int, length: int, count: int) -> np.ndarray:
-    """(count, stop - start, length) series for samples start .. stop-1.
+def _batches(rng: np.random.Generator, n: int, length: int, count: int):
+    """Samples 0 .. n-1 read in order from rng, as (count, rows, length)
+    blocks of at most max(1, _BLOCK_COEFFS // length) rows.
 
-    Each sample has its own stream (seed, TAG_SERIES, kind, i) and draws its
-    count series in order, real parts then imaginary parts, each uniform on
-    [-1, 1]; so a sample's draws do not depend on the block.
-    """
-    parts = draw_uniform(philox_keys(seed, TAG_SERIES, kind, np.arange(start, stop)), (count, 2, length))
-    out = np.empty((stop - start, count, length), dtype=np.complex128)
-    out.real = parts[:, :, 0]
-    out.imag = parts[:, :, 1]
-    return out.transpose(1, 0, 2)
-
-
-def _batches(seed: int, kind: int, n: int, length: int, count: int):
-    """Samples 0 .. n-1 as (count, rows, length) blocks of at most
-    max(1, _BLOCK_COEFFS // length) rows.
-
-    A sample with an exactly zero series is dropped; a block left empty is
-    not yielded.
+    A sample draws its count series in order, real parts then imaginary
+    parts, each uniform on [-1, 1]. A sample with an exactly zero series is
+    dropped; a block left empty is not yielded.
     """
     rows = max(1, _BLOCK_COEFFS // length)
     for start in range(0, n, rows):
-        series = _draw_block(seed, kind, start, min(n, start + rows), length, count)
+        parts = rng.uniform(-1.0, 1.0, (min(rows, n - start), count, 2, length))
+        series = (parts[:, :, 0] + 1j * parts[:, :, 1]).transpose(1, 0, 2)
         keep = np.all(np.any(series != 0, axis=-1), axis=0)
         if keep.any():
             yield series[:, keep]
@@ -142,13 +133,12 @@ class AlgebraConstantReport:
     """Per-degree convolution kernel sums and their running maxima.
 
     value is the running maximum at the last degree; kernel_values and
-    running_maxima sample the sequence at `grid` so convergence (or an
-    unbounded trend) is visible.
+    running_maxima sample the sequence at _sample_grid(N) so convergence
+    (or an unbounded trend) is visible.
     """
 
     value: float
     argmax: int
-    grid: list[int]
     kernel_values: list[float]
     running_maxima: list[float]
     unbounded_trend: bool
@@ -195,7 +185,6 @@ def algebra_constant(w: WeightSequence | None, N: int) -> AlgebraConstantReport:
     return AlgebraConstantReport(
         value=float(running[-1]),
         argmax=argmax,
-        grid=grid,
         kernel_values=[float(values[i]) for i in grid],
         running_maxima=[float(running[i]) for i in grid],
         unbounded_trend=bool(unbounded),
@@ -220,7 +209,7 @@ def check_wa_batch(w: WeightSequence, degree: int, n_pairs: int, seed: int) -> f
     Pairs with p f1 = 0 or p f2 = 0 are skipped; with none left the max is 0.0.
     """
     worst = 0.0
-    for F1, F2 in _batches(seed, 1, n_pairs, degree + 1, 2):
+    for F1, F2 in _batches(stream(seed, TAG_SERIES, 1), n_pairs, degree + 1, 2):
         num, d1, d2 = _wa_parts(F1, F2, w)
         worst = max(worst, float(np.max(num / (d1 * d2))))
     return worst
@@ -253,7 +242,7 @@ def check_wc_batch(w: WeightSequence, degree: int, n_samples: int, seed: int) ->
     checked, and the ratio is reported either way.
     """
     best = math.inf
-    for (F,) in _batches(seed, 2, n_samples, degree + 1, 1):
+    for (F,) in _batches(stream(seed, TAG_SERIES, 2), n_samples, degree + 1, 1):
         best = min(best, float(np.min(_wc_ratios(F, w))))
     return best
 
@@ -273,7 +262,7 @@ def derivative_probe_batch(w: WeightSequence, degree: int, n_samples: int, seed:
     f -> t f. Zero series are skipped; with none left the result is (inf, 0.0).
     """
     lo, hi = math.inf, 0.0
-    for (F,) in _batches(seed, 3, n_samples, degree + 1, 1):
+    for (F,) in _batches(stream(seed, TAG_SERIES, 3), n_samples, degree + 1, 1):
         left, right = _derivative_sides(F, w)
         ratio = left / right
         lo, hi = min(lo, float(np.min(ratio))), max(hi, float(np.max(ratio)))

@@ -279,7 +279,8 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> Experimen
 
     Every index should equal 1 with a large singular-value gap. Sets with
     nearly coincident points (pairwise distance below 1e-3) are flagged as
-    ill conditioned and excluded from the verdict.
+    ill conditioned and excluded from the verdict; a sweep with no set left
+    to assert fails, since it checked nothing.
     """
     w = WeightSequence.preset("unweighted")
     T = shift_window(w, N)
@@ -288,11 +289,11 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> Experimen
     for i, zeros in enumerate(zero_sets):
         zs = [complex(z) for z in zeros]
         if len(zs) > ZERO_SET_MAX_SIZE:
-            raise ValueError(f"zero set {i} has more than {ZERO_SET_MAX_SIZE} points")
+            raise ValueError(f"zeros: zero set {i} has more than {ZERO_SET_MAX_SIZE} points")
         if any(abs(z) > ZERO_SET_RADIUS for z in zs):
-            raise ValueError(f"zero set {i} leaves the {ZERO_SET_RADIUS} disc")
+            raise ValueError(f"zeros: zero set {i} leaves the {ZERO_SET_RADIUS} disc")
         if len(set(zs)) != len(zs):
-            raise ValueError(f"zero set {i} has a repeated point")
+            raise ValueError(f"zeros: zero set {i} has a repeated point")
         min_sep = min(
             (abs(a - b) for idx, a in enumerate(zs) for b in zs[idx + 1:]),
             default=math.inf,
@@ -311,6 +312,7 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> Experimen
         })
         if not flagged and not (res.index == 1 and res.gap >= INDEX_GAP_FLOOR):
             ok = False
+    ok = ok and not all(step["ill_conditioned"] for step in per_step)
     return ExperimentReport(
         experiment="beurling_index_sweep",
         per_step=per_step,

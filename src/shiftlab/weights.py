@@ -57,15 +57,15 @@ class WeightSequence:
                 raise ValueError("explicit weight sequence requires explicit_values")
             vals = np.asarray(self.explicit_values, dtype=float)
             if vals.ndim != 1 or len(vals) < 2:
-                raise ValueError("explicit_values must be a 1-d table with at least two entries")
+                raise ValueError("weight: explicit_values must be a 1-d table with at least two entries")
             if not np.all(np.isfinite(vals)):
                 bad = int(np.argmin(np.isfinite(vals)))
-                raise ValueError(f"omega({bad}) = {vals[bad]} is not finite")
+                raise ValueError(f"weight: omega({bad}) = {vals[bad]} is not finite")
             if np.any(vals < 1.0 - 1e-12):
                 bad = int(np.argmax(vals < 1.0 - 1e-12))
-                raise ValueError(f"omega({bad}) = {vals[bad]} violates omega >= 1")
+                raise ValueError(f"weight: omega({bad}) = {vals[bad]} violates omega >= 1")
             if abs(vals[0] - 1.0) > 1e-9:
-                raise ValueError(f"omega(0) must be 1.0, got {vals[0]}")
+                raise ValueError(f"weight: omega(0) must be 1.0, got {vals[0]}")
             self.explicit_values = vals
         elif self.explicit_values is not None:
             raise ValueError("explicit_values only apply to kind='explicit'")
@@ -101,25 +101,25 @@ class WeightSequence:
         for i, line in enumerate(lines):
             text = line.strip()
             if not text:
-                raise WeightDataError(f"{path}: line {i} is blank; line number n must hold omega(n)")
+                raise WeightDataError(f"weight: {path}: line {i} is blank; line number n must hold omega(n)")
             try:
                 value = float(text)
             except ValueError as exc:
-                raise WeightDataError(f"{path}: line {i} is not a plain decimal: {text!r}") from exc
+                raise WeightDataError(f"weight: {path}: line {i} is not a plain decimal: {text!r}") from exc
             if not math.isfinite(value):
-                raise WeightDataError(f"{path}: line {i} is not finite: {text!r}")
+                raise WeightDataError(f"weight: {path}: line {i} is not finite: {text!r}")
             vals.append(value)
         if not vals:
-            raise WeightDataError(f"{path}: empty weight file")
+            raise WeightDataError(f"weight: {path}: empty weight file")
         if abs(vals[0] - 1.0) > 1e-9:
-            raise WeightDataError(f"{path}: first line must parse to 1.0 (got {vals[0]})")
+            raise WeightDataError(f"weight: {path}: first line must parse to 1.0 (got {vals[0]})")
         return cls.from_values(vals)
 
     def log_omega_array(self, count: int) -> np.ndarray:
         """log omega(0) .. log omega(count-1); the only per-kind formula."""
         if self.kind == "explicit" and count - 1 > self.max_index_hint:
             raise WeightDataError(
-                f"index {count - 1} beyond explicit data (max_index_hint={self.max_index_hint})"
+                f"weight: index {count - 1} beyond explicit data (max_index_hint={self.max_index_hint})"
             )
         n = np.arange(count, dtype=float)
         if self.kind == "unweighted":
@@ -273,7 +273,7 @@ def classify(w: WeightSequence, N: int) -> ClassificationReport:
     if N < MIN_RADIUS_WINDOW:
         raise ValueError(f"classification needs N >= {MIN_RADIUS_WINDOW}, got {N}")
     if w.kind == "explicit" and N > w.max_index_hint:
-        raise WeightDataError(f"explicit data shorter than N={N} (hint {w.max_index_hint})")
+        raise WeightDataError(f"weight: explicit data shorter than N={N} (hint {w.max_index_hint})")
 
     log_omega = w.log_omega_array(N + 1)
     n = np.arange(N + 1, dtype=float)

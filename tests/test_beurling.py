@@ -297,8 +297,8 @@ def ref_multiply(f, g):
 
 def ref_wa_batch(p, w, degree, n_pairs, seed):
     worst = 0.0
-    for i in range(n_pairs):
-        rng = stream(seed, TAG_SERIES, 1, i)
+    rng = stream(seed, TAG_SERIES, 1)
+    for _ in range(n_pairs):
         f1, f2 = ref_series(rng, degree), ref_series(rng, degree)
         pf1, pf2 = ref_multiply(p, f1), ref_multiply(p, f2)
         if pf1.is_zero or pf2.is_zero:
@@ -309,8 +309,9 @@ def ref_wa_batch(p, w, degree, n_pairs, seed):
 
 def ref_wc_batch(w, degree, n_samples, seed):
     best = math.inf
-    for i in range(n_samples):
-        f = ref_series(stream(seed, TAG_SERIES, 2, i), degree)
+    rng = stream(seed, TAG_SERIES, 2)
+    for _ in range(n_samples):
+        f = ref_series(rng, degree)
         if f.is_zero:
             continue
         best = min(best, ref_norm(ref_multiply(series([-1, 1]), f), w) / ref_norm(f, w, s=1))
@@ -319,8 +320,9 @@ def ref_wc_batch(w, degree, n_samples, seed):
 
 def ref_derivative_batch(w, degree, n_samples, seed):
     lo, hi = math.inf, 0.0
-    for i in range(n_samples):
-        f = ref_series(stream(seed, TAG_SERIES, 3, i), degree)
+    rng = stream(seed, TAG_SERIES, 3)
+    for _ in range(n_samples):
+        f = ref_series(rng, degree)
         if f.is_zero:
             continue
         df = CoefficientSeries(np.arange(1, len(f.coeffs)) * f.coeffs[1:])
@@ -342,6 +344,28 @@ def close(got, ref, rel=1e-13):
     return abs(got - ref) <= rel * abs(ref)
 
 
+def record_block_draws(monkeypatch, hook):
+    """Make every probe's stream pass each block of uniform draws through
+    hook(parts, first), first the stream's index of the block's first sample;
+    return the list of the (seed, *tags) keys of the streams opened."""
+    opened = []
+
+    class Hooked:
+        def __init__(self, rng):
+            self.rng, self.drawn = rng, 0
+
+        def uniform(self, low, high, size):
+            first, self.drawn = self.drawn, self.drawn + size[0]
+            return hook(self.rng.uniform(low, high, size), first)
+
+    def hooked_stream(*key):
+        opened.append(key)
+        return Hooked(stream(*key))
+
+    monkeypatch.setattr(beurling, "stream", hooked_stream)
+    return opened
+
+
 class TestBatchKernels:
     @pytest.mark.parametrize("degree", [1, 32, 64])
     @pytest.mark.parametrize("w", BATCH_WEIGHTS, ids=lambda w: w.kind)
@@ -352,23 +376,38 @@ class TestBatchKernels:
             assert close(got, ref)
 
     def test_draws_equal_the_per_sample_streams(self):
-        """Every kind, a seed of one and of two 32-bit words, across a block boundary."""
+        """Every kind, a seed of one and of two 32-bit words, across a block boundary:
+        the blocks, joined, are consecutive series of one stream (seed, TAG_SERIES, kind)."""
         length = 33
         per_block = beurling._BLOCK_COEFFS // length
         for seed in (7, 2**32 + 9):
             for kind, count in ((1, 2), (2, 1), (3, 1)):
-                blocks = list(beurling._batches(seed, kind, per_block + 5, length, count))
+                blocks = list(beurling._batches(stream(seed, TAG_SERIES, kind), per_block + 5, length, count))
                 assert [b.shape[1] for b in blocks] == [per_block, 5]
                 drawn = np.concatenate(blocks, axis=1)
+                rng = stream(seed, TAG_SERIES, kind)
                 for i in range(per_block + 5):
-                    rng = stream(seed, TAG_SERIES, kind, i)
                     for series in drawn[:, i]:
                         assert np.array_equal(series, ref_series(rng, length - 1).coeffs)
-        F1, F2 = beurling._draw_block(7, 1, 3, 9, 33, 2)
-        for row, i in enumerate(range(3, 9)):
-            rng = stream(7, TAG_SERIES, 1, i)
-            assert np.array_equal(F1[row], ref_series(rng, 32).coeffs)
-            assert np.array_equal(F2[row], ref_series(rng, 32).coeffs)
+
+    def test_first_samples_do_not_depend_on_the_batch(self, monkeypatch):
+        monkeypatch.setattr(beurling, "_BLOCK_COEFFS", 6 * 9)  # 6 samples of degree 8 per block
+        n = 20
+        for kind, count in ((1, 2), (2, 1)):
+            small, large = (np.concatenate(list(beurling._batches(stream(3, TAG_SERIES, kind), rows, 9, count)), axis=1)
+                            for rows in (n, n + 7))
+            assert np.array_equal(large[:, :n], small)
+        w = WeightSequence.preset("bergman")
+        assert close(check_wc_batch(w, 8, n, 3), ref_wc_batch(w, 8, n, 3))
+        assert check_wc_batch(w, 8, n + 7, 3) <= check_wc_batch(w, 8, n, 3)
+
+    def test_each_probe_opens_one_stream(self, monkeypatch):
+        opened = record_block_draws(monkeypatch, lambda parts, first: parts)
+        monkeypatch.setattr(beurling, "_BLOCK_COEFFS", 4 * 9)
+        check_wa_batch(LINEAR, 8, 30, 5)
+        check_wc_batch(LINEAR, 8, 30, 5)
+        derivative_probe_batch(LINEAR, 8, 30, 5)
+        assert opened == [(5, TAG_SERIES, 1), (5, TAG_SERIES, 2), (5, TAG_SERIES, 3)]
 
     def test_batch_larger_than_one_block(self, monkeypatch):
         monkeypatch.setattr(beurling, "_BLOCK_COEFFS", 50 * 9)  # 50 samples of degree 8 per block
@@ -380,13 +419,12 @@ class TestBatchKernels:
 
     def test_blocks_bound_the_draws(self, monkeypatch):
         sizes = []
-        draw = beurling._draw_block
 
-        def recording(seed, kind, start, stop, length, count):
-            sizes.append(stop - start)
-            return draw(seed, kind, start, stop, length, count)
+        def recording(parts, first):
+            sizes.append(len(parts))
+            return parts
 
-        monkeypatch.setattr(beurling, "_draw_block", recording)
+        record_block_draws(monkeypatch, recording)
         w = WeightSequence.preset("bergman")
         assert check_wc_batch(w, 1 << 16, 3, 4) > 0  # one sample per block at this degree
         assert sizes == [1, 1, 1]
@@ -396,20 +434,20 @@ class TestBatchKernels:
         assert sizes == [7, 7, 7, 7, 2]
 
     def test_zero_samples_are_skipped(self, monkeypatch):
-        draw = beurling._draw_block
         kept = []
 
-        def zero_all_but_kept(seed, kind, start, stop, length, count):
-            out = draw(seed, kind, start, stop, length, count).copy()
-            out[:, [i - start not in kept for i in range(start, stop)]] = 0
-            return out
+        def zero_all_but_kept(parts, first):
+            parts[[first + row not in kept for row in range(len(parts))]] = 0
+            return parts
 
-        monkeypatch.setattr(beurling, "_draw_block", zero_all_but_kept)
+        record_block_draws(monkeypatch, zero_all_but_kept)
+        monkeypatch.setattr(beurling, "_BLOCK_COEFFS", 4 * 9)  # 4 samples of degree 8 per block
         assert check_wa_batch(LINEAR, 8, 6, 1) == 0.0
         assert check_wc_batch(LINEAR, 8, 6, 1) == math.inf
         assert derivative_probe_batch(LINEAR, 8, 6, 1) == (math.inf, 0.0)
         kept.append(4)
-        f = CoefficientSeries(draw(1, 2, 4, 5, 9, 1)[0, 0])
+        rng = stream(1, TAG_SERIES, 2)
+        f = [ref_series(rng, 8) for _ in range(5)][4]
         assert close(check_wc_batch(LINEAR, 8, 6, 1), ref_norm(ref_multiply(Z_MINUS_1, f), LINEAR)
                      / ref_norm(f, LINEAR, s=1))
 

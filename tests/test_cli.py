@@ -283,6 +283,22 @@ class TestCommands:
         rep = read_report(tmp_path, "bir")
         assert all(s["index"] == 1 for s in rep["per_step"])
 
+    def test_beurling_index_with_only_an_ill_conditioned_set_fails(self, tmp_path, monkeypatch):
+        assert run_cli(["beurling-index", "--zeros", "0.1,0.1000001", "--output", "bic"], tmp_path, monkeypatch) == 2
+        rep = read_report(tmp_path, "bic")
+        assert rep["verdict"] == "fail" and rep["metrics"]["all_indices_one"] is False
+        assert rep["per_step"][0]["ill_conditioned"]
+
+    @pytest.mark.parametrize("zeros, message", [
+        ("0.9", "zeros: zero set 0 leaves the 0.8 disc"),
+        ("0.1,0.1", "zeros: zero set 0 has a repeated point"),
+        ("0.1,0.2,0.3,0.4,0.5,0.6", "zeros: zero set 0 has more than 5 points"),
+    ])
+    def test_bad_zero_set_names_zeros(self, tmp_path, monkeypatch, capsys, zeros, message):
+        assert run_cli(["beurling-index", "--zeros", zeros, "--output", "bz"], tmp_path, monkeypatch) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "bz.report.json").exists()
+
     def test_unreachable_min_sep_exits_one(self, tmp_path, monkeypatch, capsys):
         start = time.perf_counter()
         code = run_cli(["beurling-index", "--min-sep", "1", "--output", "ms"], tmp_path, monkeypatch)
@@ -333,6 +349,30 @@ class TestCommands:
         rep = read_report(tmp_path, "bc")
         assert rep["verdict"] == "pass"
         assert rep["metrics"]["algebra_constant"] > 0
+
+    @pytest.mark.parametrize("command", ["classify", "radii", "chain", "stability", "semicont", "beurling-check"])
+    def test_short_weight_file_names_weight(self, tmp_path, monkeypatch, capsys, command):
+        (tmp_path / "w.txt").write_text("1.0\n2.0\n3.0\n", encoding="utf-8")
+        argv = [command, "--weight", "w.txt", "--output", "sw"] + (["--trials", "2"] if command == "semicont" else [])
+        assert run_cli(argv, tmp_path, monkeypatch) == 1
+        message = (r"explicit data shorter than N=4096 \(hint 2\)" if command == "classify"
+                   else r"index \d+ beyond explicit data \(max_index_hint=2\)")
+        assert re.search("error: weight: " + message, capsys.readouterr().err)
+        assert not (tmp_path / "sw.report.json").exists()
+
+    def test_weight_below_one_names_weight(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "w.txt").write_text("1.0\n2.0\n0.5\n4.0\n", encoding="utf-8")
+        assert run_cli(["radii", "--weight", "w.txt", "--output", "wb"], tmp_path, monkeypatch) == 1
+        assert "error: weight: omega(2) = 0.5 violates omega >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["bergman", "quasianalytic_sqrt"])
+    def test_beurling_check_passes_on_every_survey_seed(self, monkeypatch, weight):
+        # perfbench's survey workload expects a pass here at whatever seed it runs
+        monkeypatch.delenv("SHIFTLAB_SEED", raising=False)
+        failed = [(seed, batch) for batch in (20, 200) for seed in range(50)
+                  if _RUNNERS["beurling-check"](RunConfig("beurling-check", weight=weight, seed=seed,
+                                                          batch=batch).resolved()).verdict != "pass"]
+        assert failed == []
 
     def test_bad_weight_exits_one(self, tmp_path, monkeypatch):
         assert run_cli(["classify", "--weight", "nonexistent"], tmp_path, monkeypatch) == 1

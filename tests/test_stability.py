@@ -315,6 +315,17 @@ class TestBeurlingIndexSweep:
         rep = beurling_index_sweep([[0.1, 0.1 + 5e-4]], 64)
         assert rep.per_step[0]["ill_conditioned"]
 
+    def test_only_flagged_sets_check_nothing_and_fail(self):
+        rep = beurling_index_sweep([[0.1, 0.1 + 5e-4]], 64)
+        assert rep.verdict == "fail" and rep.metrics["all_indices_one"] is False
+        rep = beurling_index_sweep([[0.1, 0.1 + 5e-4], [0.3]], 64)
+        assert rep.verdict == "pass" and rep.metrics["all_indices_one"] is True
+
+    def test_empty_sweep_fails(self):
+        rep = beurling_index_sweep([], 64)
+        assert rep.verdict == "fail" and rep.metrics["all_indices_one"] is False
+        assert rep.per_step == []
+
     def test_point_outside_disc_rejected(self):
         with pytest.raises(ValueError):
             beurling_index_sweep([[0.9]], 64)
