@@ -2,9 +2,10 @@
 
 The shift window is rectangular by design: it maps coordinates 0..N-1
 into 0..N exactly, so it carries no truncation error. Edge effects are
-confined to explicitly reported tail bounds. The adjoint comes as a dense
-square truncation, a plain array, for polynomial evaluation and dense
-perturbation experiments; its only inexact row is the last one.
+confined to explicitly reported tail bounds. A window is its support and
+the entries on it, and builds its dense matrix only on request; the
+adjoint is a dense square truncation (a plain array, inexact on its last
+row) for polynomial evaluation and dense perturbation experiments.
 
 Chain vectors follow the normalization that f_{lam,k} has k-1 leading
 zeros and a real positive leading coordinate, which makes the coefficients
@@ -23,35 +24,53 @@ from .weights import WeightSequence
 _TAIL_BLOCK = 1 << 16  # most tail terms, or runs of terms, evaluated per bound
 
 
-@dataclass(eq=False)
-class OperatorWindow:
-    """A rows x cols complex matrix acting from C^cols to C^rows, with its support.
+@dataclass(frozen=True, eq=False)
+class Support:
+    """Positions (rows[k], cols[k]) in a window of `shape`, at most one per row and one per column.
 
-    `support` is a pair (rows, cols) of index arrays whose positions hold
-    every nonzero entry of the matrix, at most one per row and one per
-    column: the shape of a weighted shift, its adjoint, and their
-    weight-jittered copies. The window keeps a read-only view of its
-    matrix, so the two cannot drift apart through the window. Only
-    distinctness and range are checked (O(N)); that the support holds
-    every nonzero is the caller's promise. Windows compare by identity.
+    Checked once, here (O(N)), on read-only copies of the index arrays, so windows that share it trust it.
     """
 
-    matrix: np.ndarray
-    support: tuple[np.ndarray, np.ndarray]
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-        if self.matrix.ndim != 2:
-            raise ValueError("window matrix must be 2-dimensional")
-        rows, cols = (np.asarray(a, dtype=np.intp) for a in self.support)
+        rows, cols = (np.array(a, dtype=np.intp) for a in (self.rows, self.cols))
         if rows.ndim != 1 or rows.shape != cols.shape:
             raise ValueError("support must be two index arrays of equal length")
-        for idx, size, name in ((rows, self.rows, "row"), (cols, self.cols, "column")):
+        for idx, size, name in ((rows, self.shape[0], "row"), (cols, self.shape[1], "column")):
             if len(idx) and (idx.min() < 0 or idx.max() >= size or np.bincount(idx).max() > 1):
                 raise ValueError(f"support {name} indices must be distinct and in [0, {size})")
-        self.support = (rows, cols)
-        self.matrix = self.matrix.view()
-        self.matrix.flags.writeable = False
+            idx.flags.writeable = False
+        for name, value in (("shape", tuple(self.shape)), ("rows", rows), ("cols", cols)):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorWindow:
+    """A complex matrix of support.shape: entries[k] at (support.rows[k], support.cols[k]), zeros elsewhere.
+
+    The window owns a read-only copy of its entries, one per support position;
+    `matrix` builds the dense array on request, for tests and dense oracles.
+    Windows compare by identity.
+    """
+
+    support: Support
+    entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.array(self.entries, dtype=np.complex128)
+        if entries.shape != self.support.rows.shape:
+            raise ValueError("entries must hold one value per support position")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        M = np.zeros(self.support.shape, dtype=np.complex128)
+        M[self.support.rows, self.support.cols] = self.entries
+        return M
 
     @property
     def singular_value_range(self) -> tuple[float, float]:
@@ -60,29 +79,17 @@ class OperatorWindow:
         T* T = diag(|s_j|^2), so the singular values are the |s_j| on the
         support, and 0 for each column off it.
         """
-        rows, cols = self.support
-        mags = np.abs(self.matrix[rows, cols])
-        return (float(mags.min()) if len(cols) == self.cols else 0.0), float(mags.max(initial=0.0))
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
+        mags = np.abs(self.entries)
+        return (float(mags.min()) if len(mags) == self.support.shape[1] else 0.0), float(mags.max(initial=0.0))
 
 
 def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     """(N+1) x N window of the shift: column n carries alpha_n at row n+1."""
     if N < 1:
         raise ValueError("shift window needs N >= 1")
-    M = np.zeros((N + 1, N), dtype=np.complex128)
-    k = np.arange(N)
     alpha = w.alpha_array(N)
-    M[k + 1, k] = alpha
     nonzero = np.flatnonzero(alpha)
-    return OperatorWindow(M, support=(nonzero + 1, nonzero))
+    return OperatorWindow(Support((N + 1, N), nonzero + 1, nonzero), alpha[nonzero])
 
 
 def adjoint_window_square(w: WeightSequence, N: int) -> np.ndarray:
@@ -93,10 +100,7 @@ def adjoint_window_square(w: WeightSequence, N: int) -> np.ndarray:
     """
     if N < 2:
         raise ValueError("square adjoint window needs N >= 2")
-    M = np.zeros((N, N), dtype=np.complex128)
-    k = np.arange(N - 1)
-    M[k, k + 1] = w.alpha_array(N - 1)
-    return M
+    return np.diag(w.alpha_array(N - 1).astype(np.complex128), 1)
 
 
 # -- Jordan chains -------------------------------------------------------------

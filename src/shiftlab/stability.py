@@ -96,18 +96,15 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
     stream_tags select the random substream (trial and step indices);
     the same (plan.seed, stream_tags) always yields the same jitter. Only
     the entries on the support move, at most one per row and column, so
-    ||S - T|| is the largest entry change; S carries the same support.
+    ||S - T|| is the largest entry change; S shares T's support, unchecked.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    M = T.matrix.copy()
-    rows, cols = T.support
     rng = stream(plan.seed, TAG_JITTER, *stream_tags)
-    norm_T = float(np.max(np.abs(M[rows, cols])))
-    delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(rows))
-    M[rows, cols] *= 1.0 + delta_n
-    delta = float(np.max(np.abs(M[rows, cols] - T.matrix[rows, cols])))
-    return Perturbation(OperatorWindow(M, support=(rows, cols)), delta)
+    norm_T = float(np.max(np.abs(T.entries)))
+    delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(T.entries))
+    S = OperatorWindow(T.support, T.entries * (1.0 + delta_n))
+    return Perturbation(S, float(np.max(np.abs(S.entries - T.entries))))
 
 
 # -- norm-stability experiment ---------------------------------------------------

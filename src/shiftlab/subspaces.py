@@ -144,13 +144,13 @@ def projection_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
 def _invariance_defect(T: OperatorWindow, Q_in: np.ndarray, out: SubspaceBasis) -> float:
     """Operator norm of (1 - Q Q*) T Q_in, for the orthonormal basis Q of `out`.
 
-    Computed as the norm of (T* W)* Q_in, where W is out.complement and
-    [Q W] is unitary (Golub & Van Loan, Matrix Computations, 2.5), so the
-    product and the SVD run on codim(out) rows and the rows x dim_in image
-    T Q_in is never formed.
+    Computed as the largest singular value of (T* W)* Q_in, bitwise its
+    np.linalg.norm(., 2), where W is out.complement and [Q W] is unitary
+    (Golub & Van Loan, Matrix Computations, 2.5), so the product and the SVD
+    run on codim(out) rows and the rows x dim_in image T Q_in is never formed.
     """
     X = _adjoint_image(T, out.complement).conj().T @ Q_in
-    return float(np.linalg.norm(X, 2)) if X.size else 0.0
+    return float(np.linalg.svd(X, compute_uv=False)[0]) if X.size else 0.0
 
 
 # -- relative index --------------------------------------------------------------
@@ -190,20 +190,18 @@ def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
     """T Q as a row gather over the support of T.
 
     For real entries (every shift, adjoint and jittered window) the gather
-    is bitwise equal to the BLAS product up to the signs of zeros; complex
+    is bitwise equal to T.matrix @ Q up to the signs of zeros; complex
     entries can differ from it in the last bit.
     """
-    rows, cols = T.support
-    img = np.zeros((T.rows, Q.shape[1]), dtype=np.complex128)
-    img[rows] = T.matrix[rows, cols][:, None] * Q[cols]
+    img = np.zeros((T.support.shape[0], Q.shape[1]), dtype=np.complex128)
+    img[T.support.rows] = T.entries[:, None] * Q[T.support.cols]
     return img
 
 
 def _adjoint_image(T: OperatorWindow, W: np.ndarray) -> np.ndarray:
     """T* W as a row gather over the support of T (see _window_image)."""
-    rows, cols = T.support
-    img = np.zeros((T.cols, W.shape[1]), dtype=np.complex128)
-    img[cols] = T.matrix[rows, cols].conj()[:, None] * W[rows]
+    img = np.zeros((T.support.shape[1], W.shape[1]), dtype=np.complex128)
+    img[T.support.cols] = T.entries.conj()[:, None] * W[T.support.rows]
     return img
 
 
@@ -219,7 +217,7 @@ def _certified_gap(T: OperatorWindow, tol: float) -> float | None:
     min |s_j| / (tol max |s_j|).
     """
     lo, hi = T.singular_value_range
-    if not lo > 2.0 * max(tol, max(T.rows, T.cols) * np.finfo(float).eps) * hi:
+    if not lo > 2.0 * max(tol, max(T.support.shape) * np.finfo(float).eps) * hi:
         return None
     return lo / (tol * hi)
 
@@ -243,7 +241,7 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     and the gap: a zero or tiny weight (below a tiny tol, the n eps floor of
     the margin decides) or an empty column.
     """
-    if M_in.ambient_dim != T.cols or M_out.ambient_dim != T.rows:
+    if (M_out.ambient_dim, M_in.ambient_dim) != T.support.shape:
         raise ValueError("subspace dimensions do not match the window")
     if M_out.complement is None:
         raise ValueError("rel_index needs an M_out with its orthogonal complement")

@@ -2,26 +2,37 @@
 
 import numpy as np
 
-from shiftlab.operators import OperatorWindow, shift_window
+from shiftlab.operators import OperatorWindow, Support, shift_window
 from shiftlab.subspaces import SubspaceBasis
 from shiftlab.weights import WeightSequence
+
+
+def window_from_matrix(M, support) -> OperatorWindow:
+    """The window of a dense matrix on support (rows, cols); raises ValueError on a nonzero off the support."""
+    M = np.asarray(M, dtype=np.complex128)
+    supp = Support(M.shape, *support)
+    off = M.copy()
+    off[supp.rows, supp.cols] = 0.0
+    if np.any(off):
+        raise ValueError("the matrix has a nonzero off the support")
+    return OperatorWindow(supp, M[supp.rows, supp.cols])
 
 
 def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
     """N x (N+1) window of the adjoint: the transpose of shift_window (real weights)."""
     T = shift_window(w, N)
-    rows, cols = T.support
-    return OperatorWindow(T.matrix.T.copy(), support=(cols, rows))
+    return window_from_matrix(T.matrix.T, (T.support.cols, T.support.rows))
 
 
 def direct_sum(A: OperatorWindow, B: OperatorWindow) -> OperatorWindow:
     """Block-diagonal window A + B, whose support joins the two supports."""
-    M = np.zeros((A.rows + B.rows, A.cols + B.cols), dtype=np.complex128)
-    M[: A.rows, : A.cols] = A.matrix
-    M[A.rows :, A.cols :] = B.matrix
-    rows = np.concatenate([A.support[0], B.support[0] + A.rows])
-    cols = np.concatenate([A.support[1], B.support[1] + A.cols])
-    return OperatorWindow(M, support=(rows, cols))
+    (ra, ca), (rb, cb) = A.support.shape, B.support.shape
+    M = np.zeros((ra + rb, ca + cb), dtype=np.complex128)
+    M[:ra, :ca] = A.matrix
+    M[ra:, ca:] = B.matrix
+    rows = np.concatenate([A.support.rows, B.support.rows + ra])
+    cols = np.concatenate([A.support.cols, B.support.cols + ca])
+    return window_from_matrix(M, (rows, cols))
 
 
 def basis_with_complement(matrix) -> SubspaceBasis:

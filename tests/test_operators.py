@@ -6,6 +6,7 @@ import pytest
 
 from shiftlab.operators import (
     OperatorWindow,
+    Support,
     adjoint_window_square,
     chain_continuity_probe,
     eigenvector_f1,
@@ -15,7 +16,7 @@ from shiftlab.operators import (
 from shiftlab.stability import PerturbationPlan, perturb
 from shiftlab.weights import WeightSequence
 
-from builders import adjoint_window
+from builders import adjoint_window, window_from_matrix
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -70,7 +71,7 @@ class TestSupport:
     @pytest.mark.parametrize("N", [2, 7, 64])
     def test_support_holds_every_nonzero_in_scan_order(self, build, w, N):
         win = build(w, N)
-        rows, cols = win.support
+        rows, cols = win.support.rows, win.support.cols
         on_support = np.zeros(win.matrix.shape, dtype=bool)
         on_support[rows, cols] = True
         assert not np.any(win.matrix[~on_support])
@@ -83,17 +84,30 @@ class TestSupport:
         # a column off the support is a zero singular value
         assert adjoint_window(BER, 9).singular_value_range == (0.0, alpha.max())
 
-    def test_matrix_read_only_with_a_support(self):
+    def test_entries_read_only_and_owned(self):
         win = shift_window(UNW, 4)
         with pytest.raises(ValueError):
-            win.matrix[1, 0] = 2.0
-        source = np.eye(3, dtype=complex)
-        OperatorWindow(source, support=(np.arange(3), np.arange(3)))
-        source[0, 0] = 2.0  # the caller's array stays writable
+            win.entries[0] = 2.0
+        source = np.ones(3, dtype=complex)
+        win = OperatorWindow(Support((3, 3), np.arange(3), np.arange(3)), source)
+        source[0] = 2.0  # the caller's array stays writable, and the window keeps its copy
+        assert win.entries[0] == 1.0
+        assert not win.support.rows.flags.writeable and not win.support.cols.flags.writeable
+
+    def test_matrix_is_built_on_request(self):
+        win = shift_window(BER, 6)
+        M = win.matrix
+        M[0, 0] = 5.0  # a fresh array each time
+        assert win.matrix[0, 0] == 0.0
+        assert np.array_equal(win.matrix[win.support.rows, win.support.cols], win.entries)
 
     def test_support_is_required(self):
         with pytest.raises(TypeError, match="support"):
-            OperatorWindow(np.eye(3, dtype=complex))
+            OperatorWindow(entries=np.ones(3, dtype=complex))
+
+    def test_entries_match_the_support(self):
+        with pytest.raises(ValueError, match="one value per support position"):
+            OperatorWindow(Support((3, 3), [0, 1], [0, 1]), np.ones(3, dtype=complex))
 
     @pytest.mark.parametrize("rows, cols", [
         ([0, 0], [0, 1]),      # two positions in one row
@@ -104,7 +118,13 @@ class TestSupport:
     ])
     def test_support_validated(self, rows, cols):
         with pytest.raises(ValueError, match="support"):
-            OperatorWindow(np.zeros((3, 3), dtype=complex), support=(rows, cols))
+            Support((3, 3), rows, cols)
+
+    def test_window_from_matrix_rejects_a_nonzero_off_the_support(self):
+        M = np.eye(3, dtype=complex)
+        assert np.array_equal(window_from_matrix(M, (np.arange(3), np.arange(3))).matrix, M)
+        with pytest.raises(ValueError, match="off the support"):
+            window_from_matrix(M, (np.arange(2), np.arange(2)))
 
 
 class TestEigenvector:

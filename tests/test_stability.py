@@ -12,15 +12,23 @@ from shiftlab.stability import (
     random_zero_sets,
     semicontinuity_run,
 )
-from shiftlab.subspaces import SubspaceBasis, vanishing_subspace
+from shiftlab.subspaces import SubspaceBasis, rel_index, vanishing_subspace
 from shiftlab.weights import WeightSequence
 
-from builders import adjoint_window, basis_with_complement, direct_sum
+from builders import adjoint_window, basis_with_complement, direct_sum, window_from_matrix
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
 
 EPS5 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+def svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The input shape of each np.linalg.svd call from here on."""
+    shapes = []
+    original = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **k: shapes.append(a.shape) or original(a, *args, **k))
+    return shapes
 
 
 class TestPlanValidation:
@@ -243,9 +251,26 @@ class TestSupportPath:
         bound = eps / np.max(np.abs(entries))
         scanned = T.matrix.copy()
         scanned[rows, cols] *= 1.0 + stream(6, TAG_JITTER, 2, 1).uniform(-bound, bound, size=len(rows))
+        assert np.array_equal(known.window.entries, scanned[rows, cols])
         assert np.array_equal(known.window.matrix, scanned)
         assert known.delta_norm == np.max(np.abs(scanned[rows, cols] - entries))
-        assert all(np.array_equal(a, b) for a, b in zip(known.window.support, T.support))
+        assert known.window.support is T.support
+
+    def test_jittered_step_checks_no_support_and_builds_no_matrix(self, monkeypatch):
+        N = 48
+        T = shift_window(UNW, N)
+        M_in, M_out = vanishing_subspace([0.3, -0.4], N), vanishing_subspace([0.3, -0.4], N + 1)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=2)
+        bincounts, zeros_shapes = [], []
+        bincount, zeros = np.bincount, np.zeros
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: zeros_shapes.append(shape) or zeros(shape, *a, **k))
+        monkeypatch.setattr(OperatorWindow, "matrix", property(lambda self: pytest.fail("the dense matrix was built")))
+        S = perturb(T, plan, 1e-3, stream_tags=(0, 0)).window
+        rel_index(S, M_in, M_out, invariance_tol=1e-2)
+        assert bincounts == []
+        assert (N + 1, N) not in zeros_shapes
+        assert S.support is T.support
 
     @pytest.mark.parametrize("zeros, N", [([0.3, -0.4], 48), ([0.5j, -0.2 + 0.1j, 0.6], 40)])
     def test_semicontinuity_identical_on_both_paths(self, zeros, N, monkeypatch):
@@ -268,21 +293,21 @@ class TestSupportPath:
         T = shift_window(UNW, N)
         M_in, M_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3, 1e-4), seed=1)
-        calls = []
-        original = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        shapes = svd_shapes(monkeypatch)
         semicontinuity_run(T, M_in, M_out, plan, 3)
-        assert calls == []
+        # only each rel_index call's defect SVD, on codim(M_out) = 1 row
+        assert shapes == [(1, N - 1)] * (1 + 3 * 2)
 
     def test_closed_form_sigma_min_rejects_like_the_svd(self):
         N = 24
-        M = shift_window(UNW, N).matrix.copy()
+        T = shift_window(UNW, N)
+        M = T.matrix
         M[6, 5] = 0.05
         basis_in, basis_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)
         assert np.linalg.svd(M, compute_uv=False)[-1] == 0.05
         with pytest.raises(ValueError, match="sigma_min=5.000e-02 < 0.1"):
-            semicontinuity_run(OperatorWindow(M, support=shift_window(UNW, N).support), basis_in, basis_out, plan, 2)
+            semicontinuity_run(window_from_matrix(M, (T.support.rows, T.support.cols)), basis_in, basis_out, plan, 2)
 
 
 class TestBeurlingIndexSweep:
@@ -298,13 +323,13 @@ class TestBeurlingIndexSweep:
         assert all(s["index"] == 1 for s in rep.per_step)
         assert all(s["gap"] >= 1e3 for s in rep.per_step)
 
-    def test_makes_no_svd(self, monkeypatch):
+    def test_makes_no_rank_svd(self, monkeypatch):
         # the unweighted shift certifies full rank, and its gap is the certificate's bound
-        calls = []
-        original = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
-        rep = beurling_index_sweep(random_zero_sets(5, seed=3), 64)
-        assert calls == []
+        sets = random_zero_sets(5, seed=3)
+        shapes = svd_shapes(monkeypatch)
+        rep = beurling_index_sweep(sets, 64)
+        # only each set's defect SVD, on codim(M_out) = len(zeros) rows
+        assert shapes == [(len(zeros), 64 - len(zeros)) for zeros in sets]
         assert all(s["index"] == 1 and s["gap"] == 1e8 for s in rep.per_step)
 
     def test_repeated_point_rejected(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from shiftlab._blas import one_blas_thread
 from shiftlab.operators import (
-    OperatorWindow,
     adjoint_window_square,
     eigenvector_f1,
     jordan_chain,
@@ -27,13 +26,14 @@ from shiftlab.subspaces import (
     orthonormalize,
     polynomial_of_window,
     projection_distance,
+    _adjoint_image,
     _certified_gap,
     rel_index,
     vanishing_subspace,
 )
 from shiftlab.weights import WeightSequence
 
-from builders import adjoint_window, basis_with_complement, direct_sum
+from builders import adjoint_window, basis_with_complement, direct_sum, window_from_matrix
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -266,7 +266,7 @@ def supported_window(rng, rows, cols):
     support = (rng.permutation(rows)[:k], rng.permutation(cols)[:k])
     M = np.zeros((rows, cols), dtype=np.complex128)
     M[support] = complex_gaussian(rng, (k,))
-    return OperatorWindow(M, support=support)
+    return window_from_matrix(M, support)
 
 
 class TestBasisCache:
@@ -332,6 +332,9 @@ class TestComplementDefect:
         expected = residual_defect(T, M_in, M_out)
         res = rel_index(T, M_in, M_out, invariance_tol=math.inf)
         assert abs(res.defect - expected) <= defect_allowance(T)
+        X = _adjoint_image(T, M_out.complement).conj().T @ orthonormalize(M_in).matrix
+        if X.size:  # the defect's SVD gives np.linalg.norm(X, 2) bitwise
+            assert res.defect == np.linalg.norm(X, 2)
         if dim_out == rows or dim_in == 0:
             assert res.defect == 0.0
 
@@ -388,20 +391,23 @@ def assert_matches_the_dense_reference(T, M_in, M_out, tol=1e-8, invariance_tol=
     else:
         lo, hi = T.singular_value_range
         assert res.rank == M_in.dim and res.gap == certified == lo / (tol * hi)
-        slack = 10 * max(T.rows, T.cols) * np.finfo(float).eps * hi / lo
+        slack = 10 * max(T.support.shape) * np.finfo(float).eps * hi / lo
         assert expected[4] >= res.gap * (1 - slack)
 
 
 class CountingSvd:
-    """Counts np.linalg.svd calls made through the module attribute (rank SVDs, not norms)."""
+    """Counts the rank SVDs: np.linalg.svd calls on the image T Q_in, which has T.support.shape[0] rows.
 
-    def __init__(self, monkeypatch):
+    The defect's SVD runs on codim(M_out) rows and is not counted.
+    """
+
+    def __init__(self, monkeypatch, T):
         self.calls = 0
         original = np.linalg.svd
 
-        def svd(*args, **kwargs):
-            self.calls += 1
-            return original(*args, **kwargs)
+        def svd(a, *args, **kwargs):
+            self.calls += a.shape[0] == T.support.shape[0]
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
 
@@ -419,7 +425,7 @@ def shift_like_windows(draw):
     M[targets, np.arange(cols)] = np.array(mags) * np.array(signs)
     # the support may also list zero entries, as a weight jittered by a factor 0 leaves
     nz = np.arange(cols) if draw(st.booleans()) else np.flatnonzero(M[targets, np.arange(cols)])
-    T = OperatorWindow(M, support=(targets[nz], nz))
+    T = window_from_matrix(M, (targets[nz], nz))
     rng = stream(draw(st.integers(0, 2**16)), TAG_BASIS)
     M_in = SubspaceBasis(complex_gaussian(rng, (cols, draw(st.integers(0, cols)))))
     M_out = basis_with_complement(complex_gaussian(rng, (rows, draw(st.integers(0, rows)))))
@@ -444,7 +450,7 @@ class TestSupportPath:
         M = np.zeros((N + 1, N), dtype=np.complex128)
         k = np.arange(N)
         M[k + 1, k] = complex_gaussian(rng, (N,))
-        T = OperatorWindow(M, support=(k + 1, k))
+        T = window_from_matrix(M, (k + 1, k))
         M_in = SubspaceBasis(complex_gaussian(rng, (N, 12)))
         M_out = basis_with_complement(complex_gaussian(rng, (N + 1, 20)))
         expected = dense_rel_index(T, M_in, M_out, invariance_tol=math.inf)
@@ -460,7 +466,7 @@ class TestSupportPath:
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=2)
         S = perturb(shift_window(UNW, N), plan, 1e-3).window
         M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
-        svd = CountingSvd(monkeypatch)
+        svd = CountingSvd(monkeypatch, S)
         res = rel_index(S, M_in, M_out, invariance_tol=1e-2)
         assert res.rank == M_in.dim and res.gap == _certified_gap(S, 1e-8)
         assert svd.calls == 0
@@ -468,7 +474,7 @@ class TestSupportPath:
 
     def fallback(self, monkeypatch, T, M_in, M_out, tol=1e-8):
         expected = dense_rel_index(T, M_in, M_out, tol=tol, invariance_tol=math.inf)
-        svd = CountingSvd(monkeypatch)
+        svd = CountingSvd(monkeypatch, T)
         res = rel_index(T, M_in, M_out, tol=tol, invariance_tol=math.inf)
         assert svd.calls == 1
         assert_agrees_but_for_the_gap(res, expected, T)
@@ -478,9 +484,9 @@ class TestSupportPath:
     def test_zero_jitter_factor_falls_back(self, monkeypatch):
         N = 40
         T = shift_window(UNW, N)
-        M = T.matrix.copy()
+        M = T.matrix
         M[11, 10] = 0.0  # the weight alpha_10 jittered by a factor 0
-        S = OperatorWindow(M, support=T.support)
+        S = window_from_matrix(M, (T.support.rows, T.support.cols))
         assert self.fallback(monkeypatch, S, *identity_pair(N)).rank == N - 1
 
     def test_tiny_tol_falls_back_at_the_rounding_floor(self, monkeypatch):
@@ -489,11 +495,11 @@ class TestSupportPath:
         M_in, M_out = identity_pair(N)
         for small, certified in ((1e-14, False), (1e-11, True)):
             T = shift_window(UNW, N)
-            M = T.matrix.copy()
+            M = T.matrix
             M[6, 5] = small
-            S = OperatorWindow(M, support=T.support)
+            S = window_from_matrix(M, (T.support.rows, T.support.cols))
             if certified:
-                svd = CountingSvd(monkeypatch)
+                svd = CountingSvd(monkeypatch, S)
                 res = rel_index(S, M_in, M_out, tol=1e-15)
                 assert svd.calls == 0 and res.rank == N
                 assert_matches_the_dense_reference(S, M_in, M_out, tol=1e-15, invariance_tol=EXACT_INVARIANCE_TOL)
