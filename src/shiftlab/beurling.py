@@ -42,10 +42,6 @@ class CoefficientSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
     @classmethod
     def zero(cls) -> "CoefficientSeries":
         return cls(np.zeros(0))

@@ -30,7 +30,7 @@ from . import stability as st
 from . import weights as wt
 from .operators import jordan_chain, shift_window
 from .report import VERDICT_FAIL, VERDICT_PASS, ExperimentReport
-from .subspaces import vanishing_subspace
+from .subspaces import DEFAULT_RANK_TOL, vanishing_subspace
 
 DEFAULT_N = {
     "classify": 4096,
@@ -119,9 +119,9 @@ class RunConfig:
     eps: tuple[float, ...] | None = None
     seed: int = 42
     trials: int = 200
-    rank_tol: float = 1e-8
-    invariance_tol: float = 1e-3
-    min_sep: float = 1e-2
+    rank_tol: float = DEFAULT_RANK_TOL
+    invariance_tol: float = st.DEFAULT_INVARIANCE_TOL
+    min_sep: float = st.ZERO_SET_DRAW_SEPARATION
     degree: int = 32
     batch: int = 200
     trend_tol: float = 0.05

@@ -107,7 +107,7 @@ def adjoint_window_square(w: WeightSequence, N: int) -> np.ndarray:
 
 @dataclass
 class JordanChain:
-    """Vectors f_1 .. f_m with (T* - lam) f_{k+1} = f_k and (T* - lam) f_1 = 0.
+    """Vectors f_1 .. f_m with (T* - lam) f_{k+1} = f_k and (T* - lam) f_1 = 0, for jordan_chain's lam.
 
     residuals[k] is the window norm of the defect in link k (k = 0 checks
     the eigen equation). tail_bound bounds the squared l2 mass of the last
@@ -116,7 +116,6 @@ class JordanChain:
     |lam| >= r_point.
     """
 
-    lam: complex
     vectors: list[np.ndarray]
     residuals: list[float]
     tail_bound: float
@@ -231,7 +230,6 @@ def _chain(w: WeightSequence, lam: complex, m: int, N: int) -> JordanChain:
 
     r_point = w.r_point(N)
     return JordanChain(
-        lam=lam,
         vectors=vectors,
         residuals=residuals,
         tail_bound=_tail_bound(w, lam, m, N, r_point),

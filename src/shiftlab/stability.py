@@ -32,6 +32,7 @@ from .report import (
 )
 from .seeding import TAG_DENSE, TAG_JITTER, TAG_SEMICONT, TAG_STABILITY, TAG_ZERO_SETS, complex_gaussian, stream
 from .subspaces import (
+    DEFAULT_RANK_TOL,
     InvarianceError,
     RankDeficiencyError,
     SubspaceBasis,
@@ -54,6 +55,7 @@ INDEX_GAP_FLOOR = 1e3
 ZERO_SET_MIN_SEPARATION = 1e-3
 ZERO_SET_MAX_SIZE = 5
 ZERO_SET_RADIUS = 0.8
+ZERO_SET_DRAW_SEPARATION = 1e-2  # least distance between drawn points, not the ill-conditioning flag
 # Candidate points random_zero_sets draws for one set before it gives up; at
 # min_separation 0.5, seeds 0-20 need at most 71 for the 50 default sets.
 ZERO_SET_DRAWS = 10_000
@@ -71,8 +73,8 @@ class PerturbationPlan:
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         self.epsilon_schedule = tuple(float(e) for e in self.epsilon_schedule)
-        if any(e <= 0 for e in self.epsilon_schedule):
-            raise ValueError("eps: epsilon schedule entries must be positive")
+        if not all(0 < e < math.inf for e in self.epsilon_schedule):
+            raise ValueError("eps: epsilon schedule entries must be positive and finite")
         if any(b >= a for a, b in zip(self.epsilon_schedule, self.epsilon_schedule[1:])):
             raise ValueError("eps: epsilon schedule must be strictly decreasing")
 
@@ -83,28 +85,22 @@ def _require_kind(plan: PerturbationPlan, kind: str, driver: str) -> None:
         raise ValueError(f"{driver} needs a {kind!r} plan, got kind {plan.kind!r}")
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    window: OperatorWindow
-    delta_norm: float
-
-
 def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
-            stream_tags: tuple[int, ...] = ()) -> Perturbation:
-    """Jitter the weights of T: a window S with ||S - T|| <= epsilon, reported exactly.
+            stream_tags: tuple[int, ...] = ()) -> OperatorWindow:
+    """Jitter the weights of T: the window S, with ||S - T|| <= epsilon.
 
     stream_tags select the random substream (trial and step indices);
     the same (plan.seed, stream_tags) always yields the same jitter. Only
     the entries on the support move, at most one per row and column, so
-    ||S - T|| is the largest entry change; S shares T's support, unchecked.
+    ||S - T|| is the largest entry change, at most epsilon; S shares T's
+    support, unchecked.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     rng = stream(plan.seed, TAG_JITTER, *stream_tags)
     norm_T = float(np.max(np.abs(T.entries)))
     delta_n = rng.uniform(-epsilon / norm_T, epsilon / norm_T, size=len(T.entries))
-    S = OperatorWindow(T.support, T.entries * (1.0 + delta_n))
-    return Perturbation(S, float(np.max(np.abs(S.entries - T.entries))))
+    return OperatorWindow(T.support, T.entries * (1.0 + delta_n))
 
 
 # -- norm-stability experiment ---------------------------------------------------
@@ -119,7 +115,7 @@ def _dense_step(A0: np.ndarray, seed: int, epsilon: float, j: int) -> tuple[np.n
 
 @one_blas_thread
 def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
-                       N: int = 200) -> ExperimentReport:
+                       N: int) -> ExperimentReport:
     """Reconstruction distance against perturbation size, with slope fit.
 
     Builds the chain span of p_roots once (chain_reference_basis); then for
@@ -175,7 +171,7 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
 @one_blas_thread
 def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
                        plan: PerturbationPlan, n_trials: int,
-                       rank_tol: float = 1e-8,
+                       rank_tol: float = DEFAULT_RANK_TOL,
                        invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> ExperimentReport:
     """Check the lower-semicontinuity direction of the relative index.
 
@@ -206,9 +202,9 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
     for t in range(n_trials):
         asserted_any = False
         for j, eps in enumerate(steps):
-            pert = perturb(T, plan, eps, stream_tags=(TAG_SEMICONT, t, j))
+            S = perturb(T, plan, eps, stream_tags=(TAG_SEMICONT, t, j))
             try:
-                res = rel_index(pert.window, M_in, M_out, tol=rank_tol, invariance_tol=invariance_tol)
+                res = rel_index(S, M_in, M_out, tol=rank_tol, invariance_tol=invariance_tol)
             except InvarianceError as exc:
                 agg[j]["max_defect"] = max(agg[j]["max_defect"], exc.defect)
                 continue
@@ -242,8 +238,8 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
 
 # -- zero-based index sweep ---------------------------------------------------------
 
-def random_zero_sets(n_sets: int, seed: int, max_size: int = ZERO_SET_MAX_SIZE,
-                     radius: float = ZERO_SET_RADIUS, min_separation: float = 1e-2) -> list[list[complex]]:
+def random_zero_sets(n_sets: int, seed: int, max_size: int = ZERO_SET_MAX_SIZE, radius: float = ZERO_SET_RADIUS,
+                     min_separation: float = ZERO_SET_DRAW_SEPARATION) -> list[list[complex]]:
     """Seeded random zero sets in the given disc, with enforced separation.
 
     Raises ValueError when a set is not complete after ZERO_SET_DRAWS
@@ -271,7 +267,7 @@ def random_zero_sets(n_sets: int, seed: int, max_size: int = ZERO_SET_MAX_SIZE,
 
 
 @one_blas_thread
-def beurling_index_sweep(zero_sets, N: int, rank_tol: float = 1e-8) -> ExperimentReport:
+def beurling_index_sweep(zero_sets, N: int, rank_tol: float = DEFAULT_RANK_TOL) -> ExperimentReport:
     """Relative index of the unweighted shift over zero-based subspaces.
 
     Every index should equal 1 with a large singular-value gap. Sets with

@@ -38,14 +38,12 @@ class RankDeficiencyError(ValueError):
     def __init__(self, index: int, residual: float):
         super().__init__(f"basis vector {index} is dependent (residual {residual:.3e})")
         self.index = index
-        self.residual = residual
 
 
 class InvarianceError(ValueError):
     def __init__(self, defect: float, tol: float):
         super().__init__(f"image leaves the target subspace: defect {defect:.3e} > tol {tol:.3e}")
         self.defect = defect
-        self.tol = tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,21 +88,20 @@ class SubspaceBasis:
 
 @dataclass
 class Projection:
-    """Orthogonal projection matrix with its rank."""
+    """Orthogonal projection matrix (see gram_schmidt_projection)."""
 
     matrix: np.ndarray
-    rank: int
 
 
 def gram_schmidt_projection(basis: SubspaceBasis) -> tuple[SubspaceBasis, Projection]:
-    """Orthonormal basis of the span and its orthogonal projection.
+    """Orthonormal basis Q of the span and the orthogonal projection Q Q*, whose rank is Q's dim.
 
-    Rejects rank-deficient input as orthonormalize does; like it, it
-    trusts a basis flagged orthonormal and returns it as is, unchecked.
+    Q is orthonormalize's, from a Householder QR despite the name: it rejects rank-deficient
+    input and returns a basis flagged orthonormal as is, unchecked.
     """
     ortho = orthonormalize(basis)
     Q = ortho.matrix
-    return ortho, Projection(Q @ Q.conj().T, ortho.dim)
+    return ortho, Projection(Q @ Q.conj().T)
 
 
 def orthonormalize(basis: SubspaceBasis) -> SubspaceBasis:
@@ -157,18 +154,17 @@ def _invariance_defect(T: OperatorWindow, Q_in: np.ndarray, out: SubspaceBasis) 
 
 @dataclass(frozen=True)
 class IndexResult:
-    """dim(M_out) minus the numerical rank of T applied to a basis of M_in.
+    """The index dim(M_out) minus the numerical rank of T applied to a basis of M_in.
 
-    gap is the ratio between the smallest kept singular value and the
-    largest dropped one (or the decision threshold when nothing was
-    dropped); a clean decision has a large gap. After an SVD it is that
-    ratio; on a window whose full rank rel_index certified, it is the
-    certificate's lower bound on it (see _certified_gap).
+    defect is the invariance defect of T M_in against M_out. gap is the
+    ratio between the smallest kept singular value and the largest dropped
+    one (or the decision threshold when nothing was dropped); a clean
+    decision has a large gap. After an SVD it is that ratio; on a window
+    whose full rank rel_index certified, it is the certificate's lower
+    bound on it (see _certified_gap).
     """
 
     index: int
-    rank: int
-    dim_out: int
     defect: float
     gap: float
 
@@ -254,7 +250,7 @@ def rel_index(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
     gap = _certified_gap(T, tol) if rank else math.inf
     if gap is None:
         rank, gap = _rank_and_gap(np.linalg.svd(_window_image(T, Q_in), compute_uv=False), tol)
-    return IndexResult(out.dim - rank, rank, out.dim, defect, gap)
+    return IndexResult(out.dim - rank, defect, gap)
 
 
 def _divided_powers(zeros: list[complex], dim: int) -> np.ndarray:

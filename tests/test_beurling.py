@@ -112,7 +112,7 @@ class TestMultiply:
         assert np.array_equal(out.coeffs, np.array([-2, 1, 1], dtype=complex))
 
     def test_zero_factor(self):
-        assert multiply(series([1, 2]), CoefficientSeries.zero()).is_zero
+        assert multiply(series([1, 2]), CoefficientSeries.zero()).degree == -1
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=60, deadline=None)
@@ -202,7 +202,7 @@ class TestProductInequality:
     @settings(max_examples=40, deadline=None)
     def test_norm_submultiplicative_up_to_constant(self, a, b):
         f, g = series(a), series(b)
-        if f.is_zero or g.is_zero:
+        if f.degree == -1 or g.degree == -1:
             return
         const = algebra_constant(LINEAR, 64).value
         lhs = norm(multiply(f, g), LINEAR)
@@ -220,7 +220,7 @@ class TestDivision:
         assert np.array_equal(add(back, series([g(1.0)])).coeffs, g.coeffs)
 
     def test_constant_gives_zero(self):
-        assert divide_by_z_minus_1(ONE).is_zero
+        assert divide_by_z_minus_1(ONE).degree == -1
 
     def test_monomial_gives_geometric_block(self):
         f = divide_by_z_minus_1(monomial(5))
@@ -278,7 +278,7 @@ class TestDerivativeEquivalence:
 # -- reference: the batch checks as one loop over samples, one series at a time --
 
 def ref_norm(f, w, s=0):
-    if f.is_zero:
+    if f.degree == -1:
         return 0.0
     n = np.arange(len(f.coeffs), dtype=float)
     weights = np.exp(w.log_omega_array(len(f.coeffs)) - s * np.log1p(n))
@@ -290,7 +290,7 @@ def ref_series(rng, degree):
 
 
 def ref_multiply(f, g):
-    if f.is_zero or g.is_zero:
+    if f.degree == -1 or g.degree == -1:
         return CoefficientSeries.zero()
     return CoefficientSeries(np.convolve(f.coeffs, g.coeffs))
 
@@ -301,7 +301,7 @@ def ref_wa_batch(p, w, degree, n_pairs, seed):
     for _ in range(n_pairs):
         f1, f2 = ref_series(rng, degree), ref_series(rng, degree)
         pf1, pf2 = ref_multiply(p, f1), ref_multiply(p, f2)
-        if pf1.is_zero or pf2.is_zero:
+        if pf1.degree == -1 or pf2.degree == -1:
             continue
         worst = max(worst, ref_norm(ref_multiply(pf1, f2), w) / (ref_norm(pf1, w) * ref_norm(pf2, w)))
     return worst
@@ -312,7 +312,7 @@ def ref_wc_batch(w, degree, n_samples, seed):
     rng = stream(seed, TAG_SERIES, 2)
     for _ in range(n_samples):
         f = ref_series(rng, degree)
-        if f.is_zero:
+        if f.degree == -1:
             continue
         best = min(best, ref_norm(ref_multiply(series([-1, 1]), f), w) / ref_norm(f, w, s=1))
     return best
@@ -323,7 +323,7 @@ def ref_derivative_batch(w, degree, n_samples, seed):
     rng = stream(seed, TAG_SERIES, 3)
     for _ in range(n_samples):
         f = ref_series(rng, degree)
-        if f.is_zero:
+        if f.degree == -1:
             continue
         df = CoefficientSeries(np.arange(1, len(f.coeffs)) * f.coeffs[1:])
         ratio = ref_norm(f, w) / (abs(complex(f.coeffs[0])) + ref_norm(df, w, s=1))

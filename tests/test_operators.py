@@ -61,7 +61,7 @@ JITTER = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0
 BUILDERS = (
     lambda w, N: shift_window(w, N),
     lambda w, N: adjoint_window(w, N),
-    lambda w, N: perturb(shift_window(w, N), JITTER, 1e-3).window,
+    lambda w, N: perturb(shift_window(w, N), JITTER, 1e-3),
 )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shiftlab.seeding import stream
+from shiftlab.seeding import TAG_DENSE, TAG_JITTER, TAG_SEMICONT, TAG_SERIES, TAG_STABILITY, TAG_ZERO_SETS, stream
 
 
 class TestStream:
@@ -18,3 +18,16 @@ class TestStream:
         want = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 6, 1)))).uniform(-1.0, 1.0, 20)
         assert np.array_equal(draws, want)
         assert not np.array_equal(draws, stream(3, 6, 1).uniform(-1.0, 1.0, 20))
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 + 1])
+    def test_the_drivers_key_families_draw_distinct_streams(self, seed):
+        # a trailing 0 tag is dropped within four words, so no family may be a zero-extension of another
+        idx = range(4)
+        keys = [
+            *((seed, TAG_DENSE, TAG_STABILITY, j) for j in idx),
+            *((seed, TAG_JITTER, TAG_SEMICONT, t, j) for t in idx for j in idx),
+            *((seed, TAG_ZERO_SETS, i) for i in idx),
+            *((seed, TAG_SERIES, kind) for kind in idx),
+        ]
+        firsts = [stream(*key).random() for key in keys]
+        assert len(set(firsts)) == len(keys)

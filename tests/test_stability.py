@@ -40,6 +40,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="^eps: "):
             PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 0.0), seed=0)
 
+    @pytest.mark.parametrize("schedule", [(np.nan,), (0.5, np.nan), (np.inf, 0.1)])
+    def test_schedule_must_be_finite(self, schedule):
+        with pytest.raises(ValueError, match="^eps: "):
+            PerturbationPlan(kind="weight_jitter", epsilon_schedule=schedule, seed=0)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PerturbationPlan(kind="banana", epsilon_schedule=(1e-2,), seed=0)
@@ -55,10 +60,10 @@ class TestPerturb:
     def test_weight_jitter_entrywise_bound(self):
         T = shift_window(BER, 60)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=4)
-        pert = perturb(T, plan, 1e-3)
-        diff = np.abs(pert.window.matrix - T.matrix)
+        S = perturb(T, plan, 1e-3)
+        diff = np.abs(S.matrix - T.matrix)
         assert np.max(diff) <= 1e-3 + 1e-15
-        assert pert.delta_norm <= 1e-3 + 1e-15
+        assert np.max(np.abs(S.entries - T.entries)) <= 1e-3 + 1e-15
         # only the weight entries moved
         off = np.ones_like(diff, dtype=bool)
         k = np.arange(60)
@@ -68,8 +73,13 @@ class TestPerturb:
     def test_jitter_direct_sum(self):
         T = direct_sum(shift_window(UNW, 10), shift_window(UNW, 10))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
-        pert = perturb(T, plan, 1e-3)
-        assert np.linalg.norm(pert.window.matrix - T.matrix, 2) <= 1e-3 + 1e-15
+        assert np.linalg.norm(perturb(T, plan, 1e-3).matrix - T.matrix, 2) <= 1e-3 + 1e-15
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            perturb(shift_window(UNW, 10), plan, eps)
 
 
 class TestNormStabilityRun:
@@ -251,10 +261,10 @@ class TestSupportPath:
         bound = eps / np.max(np.abs(entries))
         scanned = T.matrix.copy()
         scanned[rows, cols] *= 1.0 + stream(6, TAG_JITTER, 2, 1).uniform(-bound, bound, size=len(rows))
-        assert np.array_equal(known.window.entries, scanned[rows, cols])
-        assert np.array_equal(known.window.matrix, scanned)
-        assert known.delta_norm == np.max(np.abs(scanned[rows, cols] - entries))
-        assert known.window.support is T.support
+        assert np.array_equal(known.entries, scanned[rows, cols])
+        assert np.array_equal(known.matrix, scanned)
+        assert np.max(np.abs(known.entries - entries)) <= eps
+        assert known.support is T.support
 
     def test_jittered_step_checks_no_support_and_builds_no_matrix(self, monkeypatch):
         N = 48
@@ -266,7 +276,7 @@ class TestSupportPath:
         monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
         monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: zeros_shapes.append(shape) or zeros(shape, *a, **k))
         monkeypatch.setattr(OperatorWindow, "matrix", property(lambda self: pytest.fail("the dense matrix was built")))
-        S = perturb(T, plan, 1e-3, stream_tags=(0, 0)).window
+        S = perturb(T, plan, 1e-3, stream_tags=(0, 0))
         rel_index(S, M_in, M_out, invariance_tol=1e-2)
         assert bincounts == []
         assert (N + 1, N) not in zeros_shapes

@@ -45,13 +45,13 @@ def unit(n, i):
     return v
 
 
-def assert_projection_invariants(proj):
-    """P^2 = P, P* = P and trace P = rank, each within its tolerance."""
+def assert_projection_invariants(ortho, proj):
+    """P^2 = P, P* = P and trace P = dim of the basis, each within its tolerance."""
     P = proj.matrix
     assert np.linalg.norm(P @ P - P, 2) <= 1e-10
     assert np.linalg.norm(P - P.conj().T, 2) <= 1e-12
     trace = np.trace(P)
-    assert abs(trace.real - proj.rank) + abs(trace.imag) <= 1e-8
+    assert abs(trace.real - ortho.dim) + abs(trace.imag) <= 1e-8
 
 
 class TestGramSchmidt:
@@ -59,8 +59,8 @@ class TestGramSchmidt:
         basis = SubspaceBasis.from_vectors([unit(3, 0), unit(3, 1)])
         ortho, proj = gram_schmidt_projection(basis)
         assert np.allclose(proj.matrix, np.diag([1.0, 1.0, 0.0]))
-        assert proj.rank == 2
-        assert_projection_invariants(proj)
+        assert ortho.dim == 2
+        assert_projection_invariants(ortho, proj)
 
     def test_span_invariance_under_skew(self):
         delta = 1e-3
@@ -101,8 +101,7 @@ class TestGramSchmidt:
         for seed in range(3):
             rng = stream(5, TAG_BASIS, seed)
             basis = SubspaceBasis(complex_gaussian(rng, (20, 6)))
-            _, proj = gram_schmidt_projection(basis)
-            assert_projection_invariants(proj)
+            assert_projection_invariants(*gram_schmidt_projection(basis))
 
 
 class TestIsInvariant:
@@ -156,10 +155,9 @@ class TestRelIndex:
         N = 128
         zeros = [0.5, -0.3 + 0.2j, 0.1j]
         T = shift_window(UNW, N)
-        res = rel_index(T, vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1))
-        assert res.index == 1
-        assert res.dim_out == N + 1 - 3
-        assert res.rank == N - 3
+        M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
+        assert (M_in.dim, M_out.dim) == (N - 3, N + 1 - 3)
+        assert rel_index(T, M_in, M_out).index == M_out.dim - M_in.dim == 1
 
     def test_direct_sum_index_two(self):
         N = 40
@@ -309,7 +307,7 @@ class TestBasisCache:
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=4)
         M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
         for trial in range(4):
-            S = perturb(T, plan, 1e-3, stream_tags=(trial,)).window
+            S = perturb(T, plan, 1e-3, stream_tags=(trial,))
             reused = rel_index(S, M_in, M_out, invariance_tol=1e-2)
             fresh = rel_index(S, vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1),
                               invariance_tol=1e-2)
@@ -342,7 +340,7 @@ class TestComplementDefect:
 def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=EXACT_INVARIANCE_TOL):
     """Reference: rel_index from the dense matrix of T, residual_defect and a rank SVD on every call.
 
-    Returns (index, rank, dim_out, defect, gap).
+    Returns (index, defect, gap).
     """
     Q_in = orthonormalize(M_in).matrix
     defect = residual_defect(T, M_in, M_out)
@@ -350,7 +348,7 @@ def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=EXACT_INVARIANCE_TO
         raise InvarianceError(defect, invariance_tol)
     dim_out = M_out.dim
     if Q_in.shape[1] == 0:
-        return dim_out, 0, dim_out, defect, math.inf
+        return dim_out, defect, math.inf
     s = np.linalg.svd(T.matrix @ Q_in, compute_uv=False)
     cutoff = tol * s[0] if s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
@@ -360,23 +358,19 @@ def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=EXACT_INVARIANCE_TO
         gap = float(s[rank - 1] / s[rank])
     else:
         gap = float(s[rank - 1] / cutoff) if cutoff > 0 else math.inf
-    return dim_out - rank, rank, dim_out, defect, gap
-
-
-def as_tuple(res):
-    return res.index, res.rank, res.dim_out, res.defect, res.gap
+    return dim_out - rank, defect, gap
 
 
 def assert_agrees_but_for_the_gap(res, expected, T):
-    """index, rank and dim_out exactly, and the defect within defect_allowance(T)."""
-    assert as_tuple(res)[:3] == expected[:3]
-    assert abs(res.defect - expected[3]) <= defect_allowance(T)
+    """The index exactly, and the defect within defect_allowance(T)."""
+    assert res.index == expected[0]
+    assert abs(res.defect - expected[1]) <= defect_allowance(T)
 
 
 def assert_matches_the_dense_reference(T, M_in, M_out, tol=1e-8, invariance_tol=math.inf):
     """rel_index against dense_rel_index on the same window.
 
-    index, rank and dim_out agree exactly, and the defect within rounding.
+    The indices agree exactly, and the defects within rounding.
     On a window whose rank is certified, the dense SVD keeps the certified
     (full) rank and its gap is at least the certified one, up to the SVD's
     rounding of order n eps max|s_j|; otherwise both take the SVD of the same
@@ -386,13 +380,13 @@ def assert_matches_the_dense_reference(T, M_in, M_out, tol=1e-8, invariance_tol=
     res = rel_index(T, M_in, M_out, tol=tol, invariance_tol=invariance_tol)
     assert_agrees_but_for_the_gap(res, expected, T)
     certified = _certified_gap(T, tol)
-    if certified is None or res.rank == 0:
-        assert res.gap == expected[4]
+    if certified is None or M_in.dim == 0:
+        assert res.gap == expected[2]
     else:
         lo, hi = T.singular_value_range
-        assert res.rank == M_in.dim and res.gap == certified == lo / (tol * hi)
+        assert res.index == M_out.dim - M_in.dim and res.gap == certified == lo / (tol * hi)
         slack = 10 * max(T.support.shape) * np.finfo(float).eps * hi / lo
-        assert expected[4] >= res.gap * (1 - slack)
+        assert expected[2] >= res.gap * (1 - slack)
 
 
 class CountingSvd:
@@ -445,7 +439,7 @@ class TestSupportPath:
         assert_matches_the_dense_reference(T, M_in, M_out, tol=tol)
 
     def test_complex_entries_match_within_rounding(self):
-        rng = stream(5, TAG_BASIS)
+        rng = stream(5, TAG_BASIS, 3)
         N = 30
         M = np.zeros((N + 1, N), dtype=np.complex128)
         k = np.arange(N)
@@ -454,21 +448,21 @@ class TestSupportPath:
         M_in = SubspaceBasis(complex_gaussian(rng, (N, 12)))
         M_out = basis_with_complement(complex_gaussian(rng, (N + 1, 20)))
         expected = dense_rel_index(T, M_in, M_out, invariance_tol=math.inf)
-        got = as_tuple(rel_index(T, M_in, M_out, invariance_tol=math.inf))
-        assert got[:3] == expected[:3]
-        assert got[3] == pytest.approx(expected[3], rel=1e-12)
+        res = rel_index(T, M_in, M_out, invariance_tol=math.inf)
+        assert res.index == expected[0]
+        assert res.defect == pytest.approx(expected[1], rel=1e-12)
         # the complex weights certify full rank: the gap is the bound, below the SVD's ratio
         lo, hi = T.singular_value_range
-        assert got[4] == lo / (1e-8 * hi) < expected[4]
+        assert res.gap == lo / (1e-8 * hi) < expected[2]
 
     def test_certified_rank_runs_no_svd(self, monkeypatch):
         N, zeros = 64, [0.3, -0.4]
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=2)
-        S = perturb(shift_window(UNW, N), plan, 1e-3).window
+        S = perturb(shift_window(UNW, N), plan, 1e-3)
         M_in, M_out = vanishing_subspace(zeros, N), vanishing_subspace(zeros, N + 1)
         svd = CountingSvd(monkeypatch, S)
         res = rel_index(S, M_in, M_out, invariance_tol=1e-2)
-        assert res.rank == M_in.dim and res.gap == _certified_gap(S, 1e-8)
+        assert res.index == M_out.dim - M_in.dim and res.gap == _certified_gap(S, 1e-8)
         assert svd.calls == 0
         assert_matches_the_dense_reference(S, M_in, M_out, invariance_tol=1e-2)
 
@@ -478,7 +472,7 @@ class TestSupportPath:
         res = rel_index(T, M_in, M_out, tol=tol, invariance_tol=math.inf)
         assert svd.calls == 1
         assert_agrees_but_for_the_gap(res, expected, T)
-        assert res.gap == expected[4]
+        assert res.gap == expected[2]
         return res
 
     def test_zero_jitter_factor_falls_back(self, monkeypatch):
@@ -487,7 +481,7 @@ class TestSupportPath:
         M = T.matrix
         M[11, 10] = 0.0  # the weight alpha_10 jittered by a factor 0
         S = window_from_matrix(M, (T.support.rows, T.support.cols))
-        assert self.fallback(monkeypatch, S, *identity_pair(N)).rank == N - 1
+        assert self.fallback(monkeypatch, S, *identity_pair(N)).index == (N + 1) - (N - 1)
 
     def test_tiny_tol_falls_back_at_the_rounding_floor(self, monkeypatch):
         # margin 2 max(tol, n eps): with tol = 1e-15 the n eps floor decides
@@ -501,10 +495,10 @@ class TestSupportPath:
             if certified:
                 svd = CountingSvd(monkeypatch, S)
                 res = rel_index(S, M_in, M_out, tol=1e-15)
-                assert svd.calls == 0 and res.rank == N
+                assert svd.calls == 0 and res.index == 1
                 assert_matches_the_dense_reference(S, M_in, M_out, tol=1e-15, invariance_tol=EXACT_INVARIANCE_TOL)
             else:
-                assert self.fallback(monkeypatch, S, M_in, M_out, tol=1e-15).rank == N
+                assert self.fallback(monkeypatch, S, M_in, M_out, tol=1e-15).index == 1
 
     def test_empty_column_falls_back(self, monkeypatch):
         N = 20
@@ -512,7 +506,7 @@ class TestSupportPath:
         assert A.singular_value_range[0] == 0.0
         M_in = SubspaceBasis(complex_gaussian(stream(8, TAG_BASIS), (N + 1, 6)))
         M_out = basis_with_complement(np.eye(N))
-        assert self.fallback(monkeypatch, A, M_in, M_out).rank == 6
+        assert self.fallback(monkeypatch, A, M_in, M_out).index == M_out.dim - 6
 
     def test_m_out_without_a_complement_is_rejected(self):
         N = 32
