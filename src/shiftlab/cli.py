@@ -10,14 +10,13 @@ e.g. 0.3, -0.4i, 0.5+0.2i; there and in float lists ASCII or U+2212
 minus are both accepted, and a value may begin with a minus sign
 (--zeros -0.5,0.3i). Every option's default lives in RunConfig, and READS
 names the keys each command reads: its options, its checks and its echoed
-inputs. SHIFTLAB_SEED overrides the seed of the commands that take --seed.
+inputs. A report's inputs are its command and those keys, nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ DEFAULT_N = {
 }
 DEFAULT_STABILITY_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_SEMICONT_EPS = tuple(2.0 ** -n for n in range(1, 15))
+DEFAULT_ROOTS = (0.3 + 0j, -0.4 + 0j)  # stability's p roots and semicont's zeros
 FINITE_KEYS = ("lam", "p_roots", "zeros", "eps", "rank_tol", "invariance_tol", "min_sep", "trend_tol")
 
 
@@ -97,7 +97,7 @@ READS = {
     "radii": ("weight", "N", "window_len"),
     "chain": ("weight", "N", "lam", "m"),
     "stability": ("weight", "N", "seed", "p_roots", "eps"),
-    "semicont": ("weight", "N", "seed", "rank_tol", "p_roots", "eps", "trials", "zeros", "invariance_tol"),
+    "semicont": ("weight", "N", "seed", "rank_tol", "eps", "trials", "zeros", "invariance_tol"),
     "beurling-index": ("N", "seed", "rank_tol", "zeros", "n_sets", "min_sep"),
     "beurling-check": ("weight", "seed", "degree", "batch", "trend_tol"),
 }
@@ -113,7 +113,7 @@ class RunConfig:
     N: int | None = None
     lam: complex = 0.5
     m: int = 2
-    p_roots: tuple[complex, ...] = (0.3 + 0j, -0.4 + 0j)
+    p_roots: tuple[complex, ...] = DEFAULT_ROOTS
     zeros: tuple[complex, ...] | None = None
     n_sets: int = 50
     eps: tuple[float, ...] | None = None
@@ -138,18 +138,13 @@ class RunConfig:
             self.N = DEFAULT_N[self.command]
         if "eps" in reads and self.eps is None:
             self.eps = DEFAULT_SEMICONT_EPS if self.command == "semicont" else DEFAULT_STABILITY_EPS
-        env_seed = os.environ.get("SHIFTLAB_SEED") if "seed" in reads else None
-        if env_seed is not None:
-            try:
-                self.seed = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(f"SHIFTLAB_SEED must be an integer, got {env_seed!r}") from exc
+        if self.command == "semicont" and self.zeros is None:
+            self.zeros = DEFAULT_ROOTS
         if "seed" in reads and self.seed < 0:
-            key = "seed" if env_seed is None else "SHIFTLAB_SEED"
-            raise ConfigError(f"{key} must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key in ("eps", "p_roots", "zeros"):
             value = getattr(self, key)
-            unset = key == "zeros" and value is None  # None: the runner picks its zeros
+            unset = key == "zeros" and value is None  # None: beurling-index draws its zero sets
             if key in reads and not unset and not value:
                 raise ConfigError(f"{key} must list at least one value")
         for key in ("trials", "n_sets", "batch", "degree"):
@@ -185,7 +180,7 @@ def load_weight(spec: str) -> wt.WeightSequence:
 
 
 def _echo_config(config: RunConfig) -> dict:
-    return {key: getattr(config, key) for key in ("command", "output") + READS[config.command]}
+    return {key: getattr(config, key) for key in ("command",) + READS[config.command]}
 
 
 # -- command implementations -----------------------------------------------------
@@ -262,15 +257,13 @@ def _run_stability(config: RunConfig) -> ExperimentReport:
 
 def _run_semicont(config: RunConfig) -> ExperimentReport:
     w = load_weight(config.weight)
-    zeros = config.zeros if config.zeros is not None else tuple(config.p_roots)
-    _check_window_fits(config.N, len(zeros))
+    _check_window_fits(config.N, len(config.zeros))
     r_point = w.r_point(config.N)  # no closed invariant subspace of T vanishes outside |z| < r_point
-    if max(abs(z) for z in zeros) >= r_point:
-        key = "zeros" if config.zeros is not None else "p_roots"
-        raise ConfigError(f"{key} must lie inside |z| < r_point = {r_point:.6g}, got {max(zeros, key=abs)}")
+    if max(abs(z) for z in config.zeros) >= r_point:
+        raise ConfigError(f"zeros must lie inside |z| < r_point = {r_point:.6g}, got {max(config.zeros, key=abs)}")
     T = shift_window(w, config.N)
-    M_in = vanishing_subspace(zeros, config.N)
-    M_out = vanishing_subspace(zeros, config.N + 1)
+    M_in = vanishing_subspace(config.zeros, config.N)
+    M_out = vanishing_subspace(config.zeros, config.N + 1)
     plan = st.PerturbationPlan(kind="weight_jitter", epsilon_schedule=config.eps, seed=config.seed)
     return st.semicontinuity_run(
         T, M_in, M_out, plan, config.trials,

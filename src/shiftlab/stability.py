@@ -61,7 +61,7 @@ ZERO_SET_DRAW_SEPARATION = 1e-2  # least distance between drawn points, not the 
 ZERO_SET_DRAWS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationPlan:
     """What to perturb with, how strongly, and from which seed."""
 
@@ -72,7 +72,7 @@ class PerturbationPlan:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        self.epsilon_schedule = tuple(float(e) for e in self.epsilon_schedule)
+        object.__setattr__(self, "epsilon_schedule", tuple(float(e) for e in self.epsilon_schedule))
         if not all(0 < e < math.inf for e in self.epsilon_schedule):
             raise ValueError("eps: epsilon schedule entries must be positive and finite")
         if any(b >= a for a, b in zip(self.epsilon_schedule, self.epsilon_schedule[1:])):
@@ -95,6 +95,7 @@ def perturb(T: OperatorWindow, plan: PerturbationPlan, epsilon: float,
     ||S - T|| is the largest entry change, at most epsilon; S shares T's
     support, unchecked.
     """
+    _require_kind(plan, "weight_jitter", "perturb")
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     rng = stream(plan.seed, TAG_JITTER, *stream_tags)

@@ -37,7 +37,7 @@ class WeightDataError(ValueError):
     """Raised when an explicit weight table cannot cover a requested index."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightSequence:
     """A weight function omega on the nonnegative integers plus shift weights.
 
@@ -55,7 +55,7 @@ class WeightSequence:
         if self.kind == "explicit":
             if self.explicit_values is None:
                 raise ValueError("explicit weight sequence requires explicit_values")
-            vals = np.asarray(self.explicit_values, dtype=float)
+            vals = np.array(self.explicit_values, dtype=float)  # a read-only copy, checked once
             if vals.ndim != 1 or len(vals) < 2:
                 raise ValueError("weight: explicit_values must be a 1-d table with at least two entries")
             if not np.all(np.isfinite(vals)):
@@ -66,7 +66,8 @@ class WeightSequence:
                 raise ValueError(f"weight: omega({bad}) = {vals[bad]} violates omega >= 1")
             if abs(vals[0] - 1.0) > 1e-9:
                 raise ValueError(f"weight: omega(0) must be 1.0, got {vals[0]}")
-            self.explicit_values = vals
+            vals.setflags(write=False)
+            object.__setattr__(self, "explicit_values", vals)
         elif self.explicit_values is not None:
             raise ValueError("explicit_values only apply to kind='explicit'")
 
@@ -85,7 +86,7 @@ class WeightSequence:
 
     @classmethod
     def from_values(cls, values) -> "WeightSequence":
-        return cls(kind="explicit", explicit_values=np.asarray(values, dtype=float))
+        return cls(kind="explicit", explicit_values=values)
 
     @classmethod
     def from_file(cls, path) -> "WeightSequence":

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             PerturbationPlan(kind="banana", epsilon_schedule=(1e-2,), seed=0)
 
+    def test_schedule_cannot_be_reassigned(self):
+        # the checks run at construction only, so a later schedule would skip them
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-2, 1e-3), seed=0)
+        with pytest.raises(FrozenInstanceError):
+            plan.epsilon_schedule = (1e-2, np.nan)
+
 
 class TestPerturb:
     def test_dense_random_exact_norm(self):
@@ -74,6 +82,11 @@ class TestPerturb:
         T = direct_sum(shift_window(UNW, 10), shift_window(UNW, 10))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
         assert np.linalg.norm(perturb(T, plan, 1e-3).matrix - T.matrix, 2) <= 1e-3 + 1e-15
+
+    def test_dense_random_plan_is_rejected(self):
+        plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3,), seed=1)
+        with pytest.raises(ValueError, match="perturb needs a 'weight_jitter' plan, got kind 'dense_random'"):
+            perturb(shift_window(UNW, 10), plan, 1e-3)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
     def test_epsilon_must_be_positive_and_finite(self, eps):

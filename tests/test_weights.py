@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,17 @@ class TestExplicitData:
         path.write_text(f"1.0\n2.0\n{text}\n4.0\n", encoding="utf-8")
         with pytest.raises(WeightDataError, match="line 2 is not finite"):
             WeightSequence.from_file(path)
+
+    def test_table_cannot_be_reassigned(self):
+        # the checks run at construction only, so a later table would skip them
+        table = np.array([1.0, 2.0, 3.0])
+        w = WeightSequence.from_values(table)
+        with pytest.raises(FrozenInstanceError):
+            w.explicit_values = np.array([0.5, 2.0, 3.0])
+        with pytest.raises(ValueError, match="read-only"):
+            w.explicit_values[1] = 0.5
+        table[1] = 0.5  # the caller's array is not the table
+        assert w.explicit_values[1] == 2.0
 
     def test_beyond_hint(self):
         w = WeightSequence.from_values([1.0, 2.0, 3.0])
