@@ -3,9 +3,9 @@
 The shift window is rectangular by design: it maps coordinates 0..N-1
 into 0..N exactly, so it carries no truncation error. Edge effects are
 confined to explicitly reported tail bounds. A window is its support and
-the entries on it, and builds its dense matrix only on request; the
-adjoint is a dense square truncation (a plain array, inexact on its last
-row) for polynomial evaluation and dense perturbation experiments.
+the entries on it, with no dense matrix; the adjoint is a dense square
+truncation (a plain array, inexact on its last row) for polynomial
+evaluation and dense perturbation experiments.
 
 Chain vectors follow the normalization that f_{lam,k} has k-1 leading
 zeros and a real positive leading coordinate, which makes the coefficients
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weights import WeightSequence
-
-_TAIL_BLOCK = 1 << 16  # most tail terms, or runs of terms, evaluated per bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +49,8 @@ class Support:
 class OperatorWindow:
     """A complex matrix of support.shape: entries[k] at (support.rows[k], support.cols[k]), zeros elsewhere.
 
-    The window owns a read-only copy of its entries, one per support position;
-    `matrix` builds the dense array on request, for tests and dense oracles.
-    Windows compare by identity.
+    The window owns a read-only copy of its entries, one per support position,
+    and never builds the dense array. Windows compare by identity.
     """
 
     support: Support
@@ -65,12 +62,6 @@ class OperatorWindow:
             raise ValueError("entries must hold one value per support position")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        M = np.zeros(self.support.shape, dtype=np.complex128)
-        M[self.support.rows, self.support.cols] = self.entries
-        return M
 
     @property
     def singular_value_range(self) -> tuple[float, float]:
@@ -112,8 +103,9 @@ class JordanChain:
     residuals[k] is the window norm of the defect in link k (k = 0 checks
     the eigen equation). tail_bound bounds the squared l2 mass of the last
     vector beyond the window, under the majorization
-    pi_n >= pi_N r_point^(n-N); it is infinite, and l2_member False, when
-    |lam| >= r_point.
+    pi_n >= pi_N r_point^(n-N): it is the sum of the majorized series in
+    closed form, rounded up by a bound on its rounding error. It is
+    infinite, and l2_member False, when |lam| >= r_point.
     """
 
     vectors: list[np.ndarray]
@@ -132,50 +124,47 @@ def _log_binom(n: np.ndarray, j: int) -> np.ndarray:
 
 
 def _tail_bound(w: WeightSequence, lam: complex, k: int, N: int, r_point: float) -> float:
-    """Upper bound on sum_{n >= N} |f_{k,n}|^2 = sum (C(n, k-1) |lam|^(n-k+1) / pi_n)^2.
+    """Sum over n >= N of t_n = (C(n, j) |lam|^(n-j) / (pi_N r^(n-N)))^2, j = k-1, r = r_point, rounded up.
 
-    Assumes, without checking it, the majorization pi_n >= pi_N r^(n-N)
-    beyond the window (r = r_point), so each term is at most
-    t_n = (C(n, k-1) |lam|^(n-k+1) / (pi_N r^(n-N)))^2. The ratio
-    rho_n = t_{n+1} / t_n = ((n+1)/(n-k+2))^2 q^2, with q = |lam| / r,
-    decreases towards q^2, so the series converges exactly when q < 1, and
-    t_n rises while rho_n >= 1 and falls after. The geometric remainder
-    t_{n_s} / (1 - rho_{n_s}) bounds the series from the first n_s >= N
-    with rho_{n_s} <= q on. Below n_s, at most _TAIL_BLOCK terms are summed
-    one by one; a longer head is cut into _TAIL_BLOCK runs of L terms, each
-    bounded by L times its larger end term, plus L times the peak term for
-    the run that holds the peak. So the work is O(_TAIL_BLOCK) for every
-    lam, and a bound that overflows is inf.
+    t_n bounds |f_{k,n}|^2 under the majorization pi_n >= pi_N r^(n-N)
+    beyond the window, which is assumed, not checked. With y = (|lam|/r)^2,
+    C(n, j)^2 = sum_a C(j, a)^2 C(n+a, 2j) and
+    sum_{p >= M} C(p, s) y^p = y^M sum_i C(M, s-i) y^i / (1-y)^(i+1) make
+    the sum the (j+1)(2j+1) positive terms, 0 <= a <= j and 0 <= i <= 2j,
+    C(j, a)^2 C(N+a, 2j-i) |lam|^(2(N-j)) y^i / (pi_N^2 (1-y)^(i+1)),
+    summed in log space at O(k^2) cost for every lam and N (the binomial
+    is 0 when 2j - i > N + a). 1 - y = -x (2 + x), x = |lam|/r - 1, keeps
+    its relative precision as y -> 1. The sum is rounded up by a bound on
+    its own rounding error, at least 5e-11, which also covers float
+    evaluations of the series (their error reaches 1e-12); it is at least
+    the smallest normal float, and infinite when |lam| >= r or on overflow.
     """
-    q = abs(lam) / r_point
-    if q == 0.0:
+    if lam == 0:
         return 0.0
-    s = q ** -0.5  # rho_n <= q  <=>  (n+1)/(n-k+2) <= s
-    if s <= 1.0:  # q >= 1, or too close to 1 to place n_s
+    x = (abs(lam) - r_point) / r_point
+    if x >= 0.0:
         return math.inf
-    n_s = max(N, math.ceil((1.0 + s * (k - 2)) / (s - 1.0)))
-    rho = ((n_s + 1) / (n_s - k + 2)) ** 2 * q * q
-    if rho >= 1.0:
+    j = k - 1
+    log_a, log_r, log_pi_N = math.log(abs(lam)), math.log(r_point), w.log_pi(N)
+    log_1my = math.log(-x * (2.0 + x))
+    # log n! for n in [N - 2j, N + j], +inf where n < 0 so a zero binomial gives a zero term, and for n in [0, 2j]
+    lf_N = np.array([math.lgamma(n + 1) if n >= 0 else math.inf for n in range(N - 2 * j, N + j + 1)])
+    lf_2j = np.array([math.lgamma(n + 1) for n in range(2 * j + 1)])
+    i = np.arange(2 * j + 1)
+    rows = 2.0 * (lf_2j[j] - lf_2j[:j + 1] - lf_2j[j::-1]) + lf_N[2 * j:]  # a = 0..j
+    cols = 2.0 * ((N - j) * log_a - log_pi_N) + 2.0 * (log_a - log_r) * i - (i + 1) * log_1my - lf_2j[::-1]
+    log_terms = rows[:, None] + cols - lf_N[np.add.outer(i[:j + 1], i)]
+    peak = float(log_terms.max())
+    log_sum = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
+    # a log term adds 2 entries of lf_N, 7 of lf_2j and the scalars, each off by a few eps of its
+    # magnitude, so it is off by a few eps of their sum; adding the terms costs eps per term
+    error = 16.0 * math.ulp(1.0) * (
+        2.0 * lf_N[-1] + 7.0 * lf_2j[-1] + 2.0 * (N + 2 * j) * (abs(log_a) + abs(log_r)) + 2.0 * abs(log_pi_N)
+        + (2 * j + 1) * (abs(log_1my) + 1.0) + log_terms.size)
+    try:
+        return max(math.exp(log_sum + max(error, 5e-11)), 2.0 ** -1022)
+    except OverflowError:
         return math.inf
-    log_pi_N, log_r, log_a = w.log_pi(N), math.log(r_point), math.log(abs(lam))
-
-    def log_term(n) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        return 2.0 * (_log_binom(n, k - 1) + (n - k + 1) * log_a - log_pi_N - (n - N) * log_r)
-
-    run = max(1, -(-(n_s - N) // _TAIL_BLOCK))
-    starts = N + run * np.arange(-(-(n_s - N) // run), dtype=float)
-    ends = np.minimum(starts + run, n_s) - 1.0
-    with np.errstate(over="ignore"):
-        if run == 1:
-            total = float(np.sum(np.exp(log_term(starts))))
-        else:
-            runs = np.exp(np.maximum(log_term(starts), log_term(ends))) * (ends - starts + 1.0)
-            # the peak is the first n with rho_n < 1; its neighbours absorb rounding
-            n_peak = min(max(N + 1, math.floor((q + k - 2) / (1.0 - q)) + 1), n_s - 1)
-            peak = float(np.exp(np.max(log_term([n_peak - 1, n_peak, n_peak + 1]))))
-            total = float(np.sum(runs)) + run * peak
-        return total + float(np.exp(log_term([n_s])[0])) / (1.0 - rho)
 
 
 def _link_residual(w: WeightSequence, lam: complex, f_next: np.ndarray, f_prev: np.ndarray | None) -> float:

@@ -58,14 +58,15 @@ class ExperimentReport:
         return (_json(vars(self)) + "\n").encode("utf-8")
 
     def write(self, prefix) -> list[Path]:
-        """Write <prefix>.report.json and, when steps exist, <prefix>.steps.csv."""
+        """Write <prefix>.report.json and, when steps exist, <prefix>.steps.csv; remove that CSV otherwise."""
         prefix = Path(prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         report_path = prefix.with_name(prefix.name + ".report.json")
         report_path.write_bytes(self.to_json_bytes())
         written = [report_path]
+        csv_path = prefix.with_name(prefix.name + ".steps.csv")
+        csv_path.unlink(missing_ok=True)  # so a run without steps leaves no CSV of an earlier run
         if self.per_step:
-            csv_path = prefix.with_name(prefix.name + ".steps.csv")
             columns: list[str] = []
             for step in self.per_step:
                 for key in step:

@@ -186,7 +186,7 @@ def _window_image(T: OperatorWindow, Q: np.ndarray) -> np.ndarray:
     """T Q as a row gather over the support of T.
 
     For real entries (every shift, adjoint and jittered window) the gather
-    is bitwise equal to T.matrix @ Q up to the signs of zeros; complex
+    is bitwise equal to the dense product T Q up to the signs of zeros; complex
     entries can differ from it in the last bit.
     """
     img = np.zeros((T.support.shape[0], Q.shape[1]), dtype=np.complex128)

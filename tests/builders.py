@@ -1,10 +1,17 @@
-"""Builders that only the tests use: windows, a polynomial weight and bases with their complement."""
+"""Builders that only the tests use: windows and their dense matrices, a polynomial weight and bases with their complement."""
 
 import numpy as np
 
 from shiftlab.operators import OperatorWindow, Support, shift_window
 from shiftlab.subspaces import SubspaceBasis
 from shiftlab.weights import WeightSequence
+
+
+def dense(T: OperatorWindow) -> np.ndarray:
+    """The matrix of a window, a fresh array each call: its entries on its support, zeros elsewhere."""
+    M = np.zeros(T.support.shape, dtype=np.complex128)
+    M[T.support.rows, T.support.cols] = T.entries
+    return M
 
 
 def window_from_matrix(M, support) -> OperatorWindow:
@@ -21,15 +28,15 @@ def window_from_matrix(M, support) -> OperatorWindow:
 def adjoint_window(w: WeightSequence, N: int) -> OperatorWindow:
     """N x (N+1) window of the adjoint: the transpose of shift_window (real weights)."""
     T = shift_window(w, N)
-    return window_from_matrix(T.matrix.T, (T.support.cols, T.support.rows))
+    return window_from_matrix(dense(T).T, (T.support.cols, T.support.rows))
 
 
 def direct_sum(A: OperatorWindow, B: OperatorWindow) -> OperatorWindow:
     """Block-diagonal window A + B, whose support joins the two supports."""
     (ra, ca), (rb, cb) = A.support.shape, B.support.shape
     M = np.zeros((ra + rb, ca + cb), dtype=np.complex128)
-    M[:ra, :ca] = A.matrix
-    M[ra:, ca:] = B.matrix
+    M[:ra, :ca] = dense(A)
+    M[ra:, ca:] = dense(B)
     rows = np.concatenate([A.support.rows, B.support.rows + ra])
     cols = np.concatenate([A.support.cols, B.support.cols + ca])
     return window_from_matrix(M, (rows, cols))

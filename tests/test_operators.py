@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from shiftlab.operators import (
 from shiftlab.stability import PerturbationPlan, perturb
 from shiftlab.weights import WeightSequence
 
-from builders import adjoint_window, window_from_matrix
+from builders import adjoint_window, dense, window_from_matrix
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -26,24 +27,24 @@ PRESETS = (UNW, BER, QAS)
 
 class TestWindows:
     def test_shift_unweighted(self):
-        M = shift_window(UNW, 2).matrix
+        M = dense(shift_window(UNW, 2))
         assert np.array_equal(M, np.array([[0, 0], [1, 0], [0, 1]], dtype=complex))
 
     def test_shift_weight_values(self):
-        assert shift_window(BER, 1).matrix[1, 0] == pytest.approx(math.sqrt(0.5))
-        assert shift_window(QAS, 1).matrix[1, 0] == pytest.approx(math.e)
+        assert dense(shift_window(BER, 1))[1, 0] == pytest.approx(math.sqrt(0.5))
+        assert dense(shift_window(QAS, 1))[1, 0] == pytest.approx(math.e)
 
     def test_adjoint_unweighted(self):
-        M = adjoint_window(UNW, 2).matrix
+        M = dense(adjoint_window(UNW, 2))
         assert np.array_equal(M, np.array([[0, 1, 0], [0, 0, 1]], dtype=complex))
 
     def test_adjoint_is_conjugate_transpose(self):
-        S = shift_window(BER, 8).matrix
-        A = adjoint_window(BER, 8).matrix
+        S = dense(shift_window(BER, 8))
+        A = dense(adjoint_window(BER, 8))
         assert np.array_equal(A, S.conj().T)
 
     def test_adjoint_weight_values(self):
-        assert adjoint_window(BER, 1).matrix[0, 1] == pytest.approx(math.sqrt(0.5))
+        assert dense(adjoint_window(BER, 1))[0, 1] == pytest.approx(math.sqrt(0.5))
 
     def test_square_adjoint_structure(self):
         A = adjoint_window_square(BER, 6)
@@ -72,11 +73,11 @@ class TestSupport:
     def test_support_holds_every_nonzero_in_scan_order(self, build, w, N):
         win = build(w, N)
         rows, cols = win.support.rows, win.support.cols
-        on_support = np.zeros(win.matrix.shape, dtype=bool)
+        on_support = np.zeros(dense(win).shape, dtype=bool)
         on_support[rows, cols] = True
-        assert not np.any(win.matrix[~on_support])
+        assert not np.any(dense(win)[~on_support])
         # the order np.nonzero gives, so perturbations draw the same jitter for each entry
-        assert [r.tolist() for r in np.nonzero(win.matrix)] == [rows.tolist(), cols.tolist()]
+        assert [r.tolist() for r in np.nonzero(dense(win))] == [rows.tolist(), cols.tolist()]
 
     def test_only_the_shift_covers_every_column(self):
         alpha = BER.alpha_array(9)
@@ -96,10 +97,10 @@ class TestSupport:
 
     def test_matrix_is_built_on_request(self):
         win = shift_window(BER, 6)
-        M = win.matrix
+        M = dense(win)
         M[0, 0] = 5.0  # a fresh array each time
-        assert win.matrix[0, 0] == 0.0
-        assert np.array_equal(win.matrix[win.support.rows, win.support.cols], win.entries)
+        assert dense(win)[0, 0] == 0.0
+        assert np.array_equal(dense(win)[win.support.rows, win.support.cols], win.entries)
 
     def test_support_is_required(self):
         with pytest.raises(TypeError, match="support"):
@@ -122,7 +123,7 @@ class TestSupport:
 
     def test_window_from_matrix_rejects_a_nonzero_off_the_support(self):
         M = np.eye(3, dtype=complex)
-        assert np.array_equal(window_from_matrix(M, (np.arange(3), np.arange(3))).matrix, M)
+        assert np.array_equal(dense(window_from_matrix(M, (np.arange(3), np.arange(3)))), M)
         with pytest.raises(ValueError, match="off the support"):
             window_from_matrix(M, (np.arange(2), np.arange(2)))
 
@@ -153,7 +154,7 @@ class TestEigenvector:
         # exact geometric tail for unit weights
         exact = 0.25 ** 100 / (1 - 0.25)
         assert chain.l2_member
-        assert chain.tail_bound == pytest.approx(exact, rel=1e-10)
+        assert chain.tail_bound == pytest.approx(exact, rel=1e-10, abs=0)
 
 
 def brute_force_second_vector(w, lam, n_coords):
@@ -327,8 +328,34 @@ class TestTailBound:
         exact = (1 + 4 * x + x * x) / (1 - x) ** 5 - head
         start = time.perf_counter()
         bound = jordan_chain(UNW, lam, 3, N).tail_bound
+        jordan_chain(UNW, lam, N - 2, N)  # the longest chain the window holds: (j+1)(2j+1) tail terms, j = N - 3
         assert time.perf_counter() - start < 2.0
         assert exact <= bound <= 1.05 * exact
+
+    @pytest.mark.parametrize("w, q, m, N", [
+        *((w, q, m, 200) for w in PRESETS for q in (0.5, 0.99, 1 - 1e-9, 1 - 1e-12) for m in (1, 2, 3)),
+        # m = N - 2: the terms with 2j - i > N + a have a zero binomial C(N+a, 2j-i)
+        (UNW, 0.5, 60, 62), (UNW, 0.9, 60, 62),
+    ], ids=lambda v: v.kind if isinstance(v, WeightSequence) else None)
+    def test_is_the_exact_majorant_rounded_up(self, w, q, m, N):
+        # sum_{n >= N} C(n, j)^2 y^n in exact rationals, as the full series
+        # y^j sum_i C(j, i)^2 y^i / (1 - y)^(2j+1) less its head, y = (|lam| / r)^2,
+        # scaled by (|lam|^-j r^N / pi_N)^2; lam, r and pi_N are the floats the chain uses
+        r = w.r_point(N)
+        lam, j = q * r, m - 1
+        y = (Fraction(lam) / Fraction(r)) ** 2
+        full = y ** j * sum(math.comb(j, i) ** 2 * y ** i for i in range(j + 1)) / (1 - y) ** (2 * j + 1)
+        head = sum(math.comb(n, j) ** 2 * y ** n for n in range(j, N))
+        scale = Fraction(r) ** (2 * N) / (Fraction(lam) ** (2 * j) * Fraction(math.exp(w.log_pi(N))) ** 2)
+        exact = float((full - head) * scale)
+        bound = jordan_chain(w, lam, m, N).tail_bound
+        assert bound >= (1 - 1e-12) * exact
+        if q <= 0.99:
+            assert bound <= (1 + 1e-9) * exact
+
+    def test_an_underflowing_tail_is_not_reported_as_zero(self):
+        # the tail 0.01^400 / (1 - 1e-4) lies below every positive normal float
+        assert jordan_chain(UNW, 0.01, 1, 200).tail_bound == np.finfo(float).tiny
 
     @pytest.mark.parametrize("lam", [1 - 2.0 ** -50, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 1.0, 2.0])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -347,7 +374,7 @@ class TestKernelDimension:
     def test_windowed_kernel_is_one_dimensional(self, w):
         N = 120
         r_point = w.r_point(N)
-        A = adjoint_window(w, N).matrix
+        A = dense(adjoint_window(w, N))
         for lam in (0.2, -0.5j, 0.6 * r_point):
             B = A.copy()
             B[:, :N] -= lam * np.eye(N)

@@ -81,6 +81,13 @@ def test_report_without_steps_writes_no_csv(tmp_path):
     assert not (tmp_path / "sub" / "r.steps.csv").exists()
 
 
+def test_report_without_steps_removes_the_csv_of_an_earlier_run(tmp_path):
+    report([{"a": 1}]).write(tmp_path / "r")
+    paths = report().write(tmp_path / "r")
+    assert [p.name for p in paths] == ["r.report.json"]
+    assert not (tmp_path / "r.steps.csv").exists()
+
+
 @pytest.mark.parametrize("z", [0.3 - 0.2j, complex(-0.5), 1j, complex(-0.0, -0.0)], ids=str)
 def test_complex_cells_use_the_cli_syntax(z):
     back = parse_complex(_csv_cell(z))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftlab import _blas, stability, subspaces
-from shiftlab.operators import OperatorWindow, shift_window
+from shiftlab.operators import shift_window
 from shiftlab.seeding import TAG_JITTER, TAG_ZERO_SETS, stream
 from shiftlab.stability import (
     PerturbationPlan,
@@ -17,7 +17,7 @@ from shiftlab.stability import (
 from shiftlab.subspaces import SubspaceBasis, rel_index, vanishing_subspace
 from shiftlab.weights import WeightSequence
 
-from builders import adjoint_window, basis_with_complement, direct_sum, window_from_matrix
+from builders import adjoint_window, basis_with_complement, dense, direct_sum, window_from_matrix
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -69,7 +69,7 @@ class TestPerturb:
         T = shift_window(BER, 60)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=4)
         S = perturb(T, plan, 1e-3)
-        diff = np.abs(S.matrix - T.matrix)
+        diff = np.abs(dense(S) - dense(T))
         assert np.max(diff) <= 1e-3 + 1e-15
         assert np.max(np.abs(S.entries - T.entries)) <= 1e-3 + 1e-15
         # only the weight entries moved
@@ -81,7 +81,7 @@ class TestPerturb:
     def test_jitter_direct_sum(self):
         T = direct_sum(shift_window(UNW, 10), shift_window(UNW, 10))
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=1)
-        assert np.linalg.norm(perturb(T, plan, 1e-3).matrix - T.matrix, 2) <= 1e-3 + 1e-15
+        assert np.linalg.norm(dense(perturb(T, plan, 1e-3)) - dense(T), 2) <= 1e-3 + 1e-15
 
     def test_dense_random_plan_is_rejected(self):
         plan = PerturbationPlan(kind="dense_random", epsilon_schedule=(1e-3,), seed=1)
@@ -269,13 +269,13 @@ class TestSupportPath:
         plan = PerturbationPlan(kind=kind, epsilon_schedule=(eps,), seed=6)
         known = perturb(T, plan, eps, stream_tags=(2, 1))
         # the jitter drawn for the nonzeros in np.nonzero's scan order
-        rows, cols = np.nonzero(T.matrix)
-        entries = T.matrix[rows, cols]
+        rows, cols = np.nonzero(dense(T))
+        entries = dense(T)[rows, cols]
         bound = eps / np.max(np.abs(entries))
-        scanned = T.matrix.copy()
+        scanned = dense(T).copy()
         scanned[rows, cols] *= 1.0 + stream(6, TAG_JITTER, 2, 1).uniform(-bound, bound, size=len(rows))
         assert np.array_equal(known.entries, scanned[rows, cols])
-        assert np.array_equal(known.matrix, scanned)
+        assert np.array_equal(dense(known), scanned)
         assert np.max(np.abs(known.entries - entries)) <= eps
         assert known.support is T.support
 
@@ -288,7 +288,6 @@ class TestSupportPath:
         bincount, zeros = np.bincount, np.zeros
         monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
         monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: zeros_shapes.append(shape) or zeros(shape, *a, **k))
-        monkeypatch.setattr(OperatorWindow, "matrix", property(lambda self: pytest.fail("the dense matrix was built")))
         S = perturb(T, plan, 1e-3, stream_tags=(0, 0))
         rel_index(S, M_in, M_out, invariance_tol=1e-2)
         assert bincounts == []
@@ -303,12 +302,12 @@ class TestSupportPath:
                                 seed=13)
         known = semicontinuity_run(T, M_in, M_out, plan, 6)
         # rel_index with dense products in place of its row gathers
-        monkeypatch.setattr(subspaces, "_window_image", lambda T, Q: T.matrix @ Q)
-        monkeypatch.setattr(subspaces, "_adjoint_image", lambda T, W: T.matrix.conj().T @ W)
-        dense = semicontinuity_run(T, M_in, M_out, plan, 6)
-        assert known.per_step == dense.per_step
-        assert known.metrics == dense.metrics
-        assert known.to_json_bytes() == dense.to_json_bytes()
+        monkeypatch.setattr(subspaces, "_window_image", lambda T, Q: dense(T) @ Q)
+        monkeypatch.setattr(subspaces, "_adjoint_image", lambda T, W: dense(T).conj().T @ W)
+        dense_run = semicontinuity_run(T, M_in, M_out, plan, 6)
+        assert known.per_step == dense_run.per_step
+        assert known.metrics == dense_run.metrics
+        assert known.to_json_bytes() == dense_run.to_json_bytes()
         assert sum(step["n_asserted"] for step in known.per_step) > 0
 
     def test_certified_run_makes_no_rank_or_sigma_min_svd(self, monkeypatch):
@@ -324,7 +323,7 @@ class TestSupportPath:
     def test_closed_form_sigma_min_rejects_like_the_svd(self):
         N = 24
         T = shift_window(UNW, N)
-        M = T.matrix
+        M = dense(T)
         M[6, 5] = 0.05
         basis_in, basis_out = vanishing_subspace([0.2], N), vanishing_subspace([0.2], N + 1)
         plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-3,), seed=0)

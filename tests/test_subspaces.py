@@ -33,7 +33,7 @@ from shiftlab.subspaces import (
 )
 from shiftlab.weights import WeightSequence
 
-from builders import adjoint_window, basis_with_complement, direct_sum, window_from_matrix
+from builders import adjoint_window, basis_with_complement, dense, direct_sum, window_from_matrix
 
 UNW = WeightSequence.preset("unweighted")
 BER = WeightSequence.preset("bergman")
@@ -248,14 +248,14 @@ def residual_defect(T, M_in, M_out):
     """Reference invariance defect: norm of the residual after projecting onto M_out."""
     Q_in = orthonormalize(M_in).matrix
     Q_out = orthonormalize(M_out).matrix
-    img = T.matrix @ Q_in
+    img = dense(T) @ Q_in
     resid = img - Q_out @ (Q_out.conj().T @ img)
     return float(np.linalg.norm(resid, 2)) if img.size else 0.0
 
 
 def defect_allowance(T):
     """Rounding allowance between rel_index's complement defect and residual_defect."""
-    return 1e-14 * float(np.abs(T.matrix).max(initial=0.0))
+    return 1e-14 * float(np.abs(dense(T)).max(initial=0.0))
 
 
 def supported_window(rng, rows, cols):
@@ -349,7 +349,7 @@ def dense_rel_index(T, M_in, M_out, tol=1e-8, invariance_tol=EXACT_INVARIANCE_TO
     dim_out = M_out.dim
     if Q_in.shape[1] == 0:
         return dim_out, defect, math.inf
-    s = np.linalg.svd(T.matrix @ Q_in, compute_uv=False)
+    s = np.linalg.svd(dense(T) @ Q_in, compute_uv=False)
     cutoff = tol * s[0] if s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     if rank == 0:
@@ -478,7 +478,7 @@ class TestSupportPath:
     def test_zero_jitter_factor_falls_back(self, monkeypatch):
         N = 40
         T = shift_window(UNW, N)
-        M = T.matrix
+        M = dense(T)
         M[11, 10] = 0.0  # the weight alpha_10 jittered by a factor 0
         S = window_from_matrix(M, (T.support.rows, T.support.cols))
         assert self.fallback(monkeypatch, S, *identity_pair(N)).index == (N + 1) - (N - 1)
@@ -489,7 +489,7 @@ class TestSupportPath:
         M_in, M_out = identity_pair(N)
         for small, certified in ((1e-14, False), (1e-11, True)):
             T = shift_window(UNW, N)
-            M = T.matrix
+            M = dense(T)
             M[6, 5] = small
             S = window_from_matrix(M, (T.support.rows, T.support.cols))
             if certified:
