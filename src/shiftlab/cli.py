@@ -42,7 +42,7 @@ DEFAULT_N = {
 DEFAULT_STABILITY_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_SEMICONT_EPS = tuple(2.0 ** -n for n in range(1, 15))
 DEFAULT_ROOTS = (0.3 + 0j, -0.4 + 0j)  # stability's p roots and semicont's zeros
-FINITE_KEYS = ("lam", "p_roots", "zeros", "eps", "rank_tol", "invariance_tol", "min_sep", "trend_tol")
+FINITE_KEYS = ("lam", "p_roots", "zeros", "eps", "rank_tol")
 
 
 class ConfigError(ValueError):
@@ -83,12 +83,9 @@ OPTIONS = {
     "eps": ("--eps", parse_float_list),
     "trials": ("--trials", int),
     "zeros": ("--zeros", parse_complex_list),
-    "invariance_tol": ("--invariance-tol", float),
     "n_sets": ("--sets", int),
-    "min_sep": ("--min-sep", float),
     "degree": ("--degree", int),
     "batch": ("--batch", int),
-    "trend_tol": ("--trend-tol", float),
 }
 
 # command -> the RunConfig keys its runner reads: its options, its checks and its echoed inputs
@@ -97,9 +94,9 @@ READS = {
     "radii": ("weight", "N", "window_len"),
     "chain": ("weight", "N", "lam", "m"),
     "stability": ("weight", "N", "seed", "p_roots", "eps"),
-    "semicont": ("weight", "N", "seed", "rank_tol", "eps", "trials", "zeros", "invariance_tol"),
-    "beurling-index": ("N", "seed", "rank_tol", "zeros", "n_sets", "min_sep"),
-    "beurling-check": ("weight", "seed", "degree", "batch", "trend_tol"),
+    "semicont": ("weight", "N", "seed", "rank_tol", "eps", "trials", "zeros"),
+    "beurling-index": ("N", "seed", "rank_tol", "zeros", "n_sets"),
+    "beurling-check": ("weight", "seed", "degree", "batch"),
 }
 COMMANDS = tuple(READS)
 
@@ -120,11 +117,8 @@ class RunConfig:
     seed: int = 42
     trials: int = 200
     rank_tol: float = DEFAULT_RANK_TOL
-    invariance_tol: float = st.DEFAULT_INVARIANCE_TOL
-    min_sep: float = st.ZERO_SET_DRAW_SEPARATION
     degree: int = 32
     batch: int = 200
-    trend_tol: float = 0.05
     window_len: int | None = None
     output: str = "shiftlab-run"
 
@@ -157,10 +151,6 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if "rank_tol" in reads and not 0.0 < self.rank_tol < 1.0:
             raise ConfigError(f"rank_tol must lie in (0, 1), got {self.rank_tol!r}")
-        if "invariance_tol" in reads and not self.invariance_tol > 0.0:
-            raise ConfigError(f"invariance_tol must be positive, got {self.invariance_tol!r}")
-        if "min_sep" in reads and not self.min_sep > 0.0:
-            raise ConfigError(f"min_sep must be positive, got {self.min_sep!r}")
         return self
 
 
@@ -265,25 +255,25 @@ def _run_semicont(config: RunConfig) -> ExperimentReport:
     M_in = vanishing_subspace(config.zeros, config.N)
     M_out = vanishing_subspace(config.zeros, config.N + 1)
     plan = st.PerturbationPlan(kind="weight_jitter", epsilon_schedule=config.eps, seed=config.seed)
-    return st.semicontinuity_run(
-        T, M_in, M_out, plan, config.trials,
-        rank_tol=config.rank_tol, invariance_tol=config.invariance_tol,
-    )
+    return st.semicontinuity_run(T, M_in, M_out, plan, config.trials, rank_tol=config.rank_tol)
 
 
 def _run_beurling_index(config: RunConfig) -> ExperimentReport:
     if config.zeros is not None:
         sets = [list(config.zeros)]
     else:
-        sets = st.random_zero_sets(config.n_sets, config.seed, min_separation=config.min_sep)
+        sets = st.random_zero_sets(config.n_sets, config.seed)
     _check_window_fits(config.N, max(len(zs) for zs in sets))
     return st.beurling_index_sweep(sets, config.N, rank_tol=config.rank_tol)
+
+
+TREND_TOL = 0.05  # largest relative move of wa_max or wc_min that passes when the degree doubles
 
 
 def _run_beurling_check(config: RunConfig) -> ExperimentReport:
     """Batch Beurling-algebra probes at degree d and 2d.
 
-    The verdict passes when wa_growth <= trend_tol, wc_shrink <= trend_tol
+    The verdict passes when wa_growth <= TREND_TOL, wc_shrink <= TREND_TOL
     and every derivative ratio lies in [0.1, 10]; nothing else is read.
     metrics.unbounded_trend (the convolution-kernel sums still growing at
     the last degree) is reported but is not part of the verdict.
@@ -305,7 +295,7 @@ def _run_beurling_check(config: RunConfig) -> ExperimentReport:
     growth = per_step[1]["wa_max"] / per_step[0]["wa_max"] - 1.0
     shrink = 1.0 - per_step[1]["wc_min"] / per_step[0]["wc_min"]
     ratios_ok = all(0.1 <= s["derivative_ratio_min"] and s["derivative_ratio_max"] <= 10.0 for s in per_step)
-    ok = growth <= config.trend_tol and shrink <= config.trend_tol and ratios_ok
+    ok = growth <= TREND_TOL and shrink <= TREND_TOL and ratios_ok
     return ExperimentReport(
         experiment="beurling_check",
         per_step=per_step,

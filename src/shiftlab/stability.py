@@ -172,13 +172,12 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
 @one_blas_thread
 def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBasis,
                        plan: PerturbationPlan, n_trials: int,
-                       rank_tol: float = DEFAULT_RANK_TOL,
-                       invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> ExperimentReport:
+                       rank_tol: float = DEFAULT_RANK_TOL) -> ExperimentReport:
     """Check the lower-semicontinuity direction of the relative index.
 
     The candidate subspace for each perturbed operator is the original one;
     a (trial, step) pair is asserted only once its invariance defect falls
-    at or below invariance_tol, which the report makes visible. Trials
+    at or below DEFAULT_INVARIANCE_TOL, which the report makes visible. Trials
     where no step reaches the assertion threshold are counted as skipped.
     plan.kind must be weight_jitter (see perturb). sigma_min(T) is read
     from the support (T.singular_value_range): 0 when a column has no
@@ -205,7 +204,7 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
         for j, eps in enumerate(steps):
             S = perturb(T, plan, eps, stream_tags=(TAG_SEMICONT, t, j))
             try:
-                res = rel_index(S, M_in, M_out, tol=rank_tol, invariance_tol=invariance_tol)
+                res = rel_index(S, M_in, M_out, tol=rank_tol, invariance_tol=DEFAULT_INVARIANCE_TOL)
             except InvarianceError as exc:
                 agg[j]["max_defect"] = max(agg[j]["max_defect"], exc.defect)
                 continue

@@ -37,7 +37,6 @@ DEPENDENCE_TOL = 1e-10
 class RankDeficiencyError(ValueError):
     def __init__(self, index: int, residual: float):
         super().__init__(f"basis vector {index} is dependent (residual {residual:.3e})")
-        self.index = index
 
 
 class InvarianceError(ValueError):

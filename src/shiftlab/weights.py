@@ -273,8 +273,6 @@ def classify(w: WeightSequence, N: int) -> ClassificationReport:
     """
     if N < MIN_RADIUS_WINDOW:
         raise ValueError(f"classification needs N >= {MIN_RADIUS_WINDOW}, got {N}")
-    if w.kind == "explicit" and N > w.max_index_hint:
-        raise WeightDataError(f"weight: explicit data shorter than N={N} (hint {w.max_index_hint})")
 
     log_omega = w.log_omega_array(N + 1)
     n = np.arange(N + 1, dtype=float)

@@ -8,7 +8,6 @@ import re
 import struct
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -152,6 +151,9 @@ class TestParsing:
         ["beurling-check", "--N", "5"],
         ["beurling-check", "--rank-tol", "1e-6"],
         ["semicont", "--p-roots", "0.3"],  # its zero set has one name, --zeros
+        ["semicont", "--invariance-tol", "1e-3"],  # the thresholds of the verdicts are constants
+        ["beurling-index", "--min-sep", "0.02"],
+        ["beurling-check", "--trend-tol", "0.05"],
     ])
     def test_option_its_command_does_not_read_exits_one(self, tmp_path, monkeypatch, capsys, argv):
         assert run_cli(argv + ["--output", "unread"], tmp_path, monkeypatch) == 1
@@ -238,10 +240,9 @@ class TestCommands:
         assert rep["metrics"]["violations"] == 0
 
     def test_semicont_vacuous_assertions_fail(self, tmp_path, monkeypatch):
-        # an unreachable invariance tolerance leaves every trial skipped
+        # at eps 0.5 no jittered step is invariant within 1e-3, so every trial is skipped
         code = run_cli(
-            ["semicont", "--N", "64", "--eps", "1e-3", "--trials", "4",
-             "--invariance-tol", "1e-18", "--output", "scf"],
+            ["semicont", "--N", "64", "--eps", "0.5", "--trials", "4", "--output", "scf"],
             tmp_path, monkeypatch,
         )
         assert code == 2
@@ -281,14 +282,6 @@ class TestCommands:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bz.report.json").exists()
 
-    def test_unreachable_min_sep_exits_one(self, tmp_path, monkeypatch, capsys):
-        start = time.perf_counter()
-        code = run_cli(["beurling-index", "--min-sep", "1", "--output", "ms"], tmp_path, monkeypatch)
-        assert time.perf_counter() - start < 2.0
-        assert code == 1
-        assert "min_sep" in capsys.readouterr().err
-        assert not (tmp_path / "ms.report.json").exists()
-
     def test_rank_tol_does_not_set_the_invariance_tol(self, tmp_path, monkeypatch):
         # the zero-based subspaces are invariant up to a defect of 1.3e-15, above this rank threshold
         assert run_cli(["beurling-index", "--rank-tol", "1e-15", "--output", "rt"], tmp_path, monkeypatch) == 0
@@ -296,8 +289,7 @@ class TestCommands:
 
     def test_loose_rank_tol_does_not_admit_a_non_invariant_base(self, tmp_path, monkeypatch, capsys):
         # the bergman base subspace has defect 1.96e-2; the base check stays at the fixed 1e-8
-        argv = ["semicont", "--weight", "bergman", "--trials", "40", "--rank-tol", "0.05",
-                "--invariance-tol", "0.05", "--output", "lb"]
+        argv = ["semicont", "--weight", "bergman", "--trials", "40", "--rank-tol", "0.05", "--output", "lb"]
         assert run_cli(argv, tmp_path, monkeypatch) == 1
         assert "defect 1.960e-02 > tol 1.000e-08" in capsys.readouterr().err
         assert not (tmp_path / "lb.report.json").exists()
@@ -337,9 +329,7 @@ class TestCommands:
         (tmp_path / "w.txt").write_text("1.0\n2.0\n3.0\n", encoding="utf-8")
         argv = [command, "--weight", "w.txt", "--output", "sw"] + (["--trials", "2"] if command == "semicont" else [])
         assert run_cli(argv, tmp_path, monkeypatch) == 1
-        message = (r"explicit data shorter than N=4096 \(hint 2\)" if command == "classify"
-                   else r"index \d+ beyond explicit data \(max_index_hint=2\)")
-        assert re.search("error: weight: " + message, capsys.readouterr().err)
+        assert re.search(r"error: weight: index \d+ beyond explicit data \(max_index_hint=2\)", capsys.readouterr().err)
         assert not (tmp_path / "sw.report.json").exists()
 
     def test_weight_below_one_names_weight(self, tmp_path, monkeypatch, capsys):
@@ -414,10 +404,8 @@ class TestCommands:
         (["stability", "--p-roots", "nan,0.3"], "p_roots"),
         (["stability", "--eps", "1e-1,inf"], "eps"),
         (["semicont", "--zeros", "0.2,nan"], "zeros"),
-        (["semicont", "--invariance-tol", "nan"], "invariance_tol"),
-        (["beurling-index", "--min-sep", "nan"], "min_sep"),
-        (["beurling-check", "--trend-tol", "inf"], "trend_tol"),
-        (["semicont", "--rank-tol", "nan"], "rank_tol"),
+        # the id keeps the name this case had beside three cases of removed options
+        pytest.param(["semicont", "--rank-tol", "nan"], "rank_tol", id="argv7-rank_tol"),
     ])
     def test_non_finite_input_exits_one(self, tmp_path, monkeypatch, capsys, argv, key):
         code = run_cli(argv + ["--output", "nf"], tmp_path, monkeypatch)
@@ -477,11 +465,8 @@ class TestCommands:
         (["semicont", "--rank-tol", "1"], "rank_tol must lie in (0, 1)"),
         (["beurling-index", "--rank-tol=-1e-8"], "rank_tol must lie in (0, 1)"),
         (["beurling-index", "--rank-tol", "2.5"], "rank_tol must lie in (0, 1)"),
-        (["semicont", "--invariance-tol", "0"], "invariance_tol must be positive"),
-        (["semicont", "--invariance-tol=-1e-3"], "invariance_tol must be positive"),
-        (["semicont", "--invariance-tol", "-1e-3"], "invariance_tol must be positive"),
-        (["stability", "--seed", "-1"], "seed must be non-negative"),
-        (["beurling-index", "--min-sep", "-1"], "min_sep must be positive"),
+        # the id keeps the name this case had beside four cases of removed options
+        pytest.param(["stability", "--seed", "-1"], "seed must be non-negative", id="argv7-seed must be non-negative"),
     ])
     def test_meaningless_tolerance_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
         code = run_cli(argv + ["--output", "tol"], tmp_path, monkeypatch)
@@ -492,9 +477,7 @@ class TestCommands:
     def test_tolerance_check_in_resolved(self):
         with pytest.raises(ConfigError, match="rank_tol"):
             RunConfig(command="semicont", rank_tol=0.0).resolved()
-        with pytest.raises(ConfigError, match="invariance_tol"):
-            RunConfig(command="semicont", invariance_tol=0.0).resolved()
-        assert RunConfig(command="semicont", rank_tol=0.5, invariance_tol=1e-300).resolved().rank_tol == 0.5
+        assert RunConfig(command="semicont", rank_tol=0.5).resolved().rank_tol == 0.5
 
     def test_run_callable_directly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -71,15 +71,13 @@ class TestGramSchmidt:
 
     def test_rank_deficiency_reports_index(self):
         basis = SubspaceBasis.from_vectors([unit(4, 0), unit(4, 1), unit(4, 0) + unit(4, 1)])
-        with pytest.raises(RankDeficiencyError) as err:
+        with pytest.raises(RankDeficiencyError, match="basis vector 2 is dependent"):
             gram_schmidt_projection(basis)
-        assert err.value.index == 2
 
     def test_more_vectors_than_the_ambient_dimension_are_dependent(self):
         basis = SubspaceBasis(complex_gaussian(stream(3, TAG_BASIS, 0), (3, 4)))
-        with pytest.raises(RankDeficiencyError) as err:
+        with pytest.raises(RankDeficiencyError, match="basis vector 3 is dependent"):
             orthonormalize(basis)
-        assert err.value.index == 3
 
     def test_perturbation_slope_is_linear(self):
         # projection distance scales linearly in the basis perturbation
