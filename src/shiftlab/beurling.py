@@ -176,7 +176,7 @@ def algebra_constant(w: WeightSequence | None, N: int) -> AlgebraConstantReport:
     running = np.maximum.accumulate(values)
     argmax = int(np.argmax(values))
     grid = _sample_grid(N)
-    half = values[N // 2] if N >= 2 else values[0]
+    half = values[N // 2]
     unbounded = argmax == N and N >= 4 and values[N] >= 1.2 * half
     return AlgebraConstantReport(
         value=float(running[-1]),

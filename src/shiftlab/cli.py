@@ -8,9 +8,10 @@ verdict, 2 when a verdict fails, 1 for configuration or runtime errors.
 Complex scalars on the command line use the a+bi syntax with no spaces,
 e.g. 0.3, -0.4i, 0.5+0.2i; there and in float lists ASCII or U+2212
 minus are both accepted, and a value may begin with a minus sign
-(--zeros -0.5,0.3i). Every option's default lives in RunConfig, and READS
-names the keys each command reads: its options, its checks and its echoed
-inputs. A report's inputs are its command and those keys, nothing else.
+(--zeros -0.5,0.3i). A command is one row of COMMANDS: its runner, the
+RunConfig keys it reads (its options, its checks and its echoed inputs) and
+the defaults that depend on the command; every other default lives in
+RunConfig. A report's inputs are its command and its keys, nothing else.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .operators import jordan_chain, shift_window
 from .report import VERDICT_FAIL, VERDICT_PASS, ExperimentReport
 from .subspaces import DEFAULT_RANK_TOL, vanishing_subspace
 
-DEFAULT_N = {
-    "classify": 4096,
-    "radii": 256,
-    "chain": 200,
-    "stability": 200,
-    "semicont": 128,
-    "beurling-index": 128,
-}
 DEFAULT_STABILITY_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_SEMICONT_EPS = tuple(2.0 ** -n for n in range(1, 15))
 DEFAULT_ROOTS = (0.3 + 0j, -0.4 + 0j)  # stability's p roots and semicont's zeros
@@ -88,22 +81,10 @@ OPTIONS = {
     "batch": ("--batch", int),
 }
 
-# command -> the RunConfig keys its runner reads: its options, its checks and its echoed inputs
-READS = {
-    "classify": ("weight", "N"),
-    "radii": ("weight", "N", "window_len"),
-    "chain": ("weight", "N", "lam", "m"),
-    "stability": ("weight", "N", "seed", "p_roots", "eps"),
-    "semicont": ("weight", "N", "seed", "rank_tol", "eps", "trials", "zeros"),
-    "beurling-index": ("N", "seed", "rank_tol", "zeros", "n_sets"),
-    "beurling-check": ("weight", "seed", "degree", "batch"),
-}
-COMMANDS = tuple(READS)
-
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration; every knob has a default."""
+    """Run configuration; resolved() fills in the defaults of its command's row."""
 
     command: str
     weight: str = "unweighted"
@@ -127,13 +108,10 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
 
     def resolved(self) -> "RunConfig":
-        reads = READS[self.command]
-        if "N" in reads and self.N is None:
-            self.N = DEFAULT_N[self.command]
-        if "eps" in reads and self.eps is None:
-            self.eps = DEFAULT_SEMICONT_EPS if self.command == "semicont" else DEFAULT_STABILITY_EPS
-        if self.command == "semicont" and self.zeros is None:
-            self.zeros = DEFAULT_ROOTS
+        _, reads, defaults = COMMANDS[self.command]
+        for key, value in defaults.items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         if "seed" in reads and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key in ("eps", "p_roots", "zeros"):
@@ -216,7 +194,6 @@ def _run_radii(config: RunConfig) -> ExperimentReport:
 def _run_chain(config: RunConfig) -> ExperimentReport:
     w = load_weight(config.weight)
     chain = jordan_chain(w, config.lam, config.m, config.N)
-    head = min(8, config.N)
     per_step = []
     for k, vec in enumerate(chain.vectors, start=1):
         per_step.append({
@@ -224,7 +201,7 @@ def _run_chain(config: RunConfig) -> ExperimentReport:
             "leading_coord": complex(vec[k - 1]),
             "norm": float(np.linalg.norm(vec)),
             "residual": chain.residuals[k - 1],
-            "coords_head": [complex(z) for z in vec[:head]],
+            "coords_head": [complex(z) for z in vec[:8]],
         })
     return ExperimentReport(
         experiment="chain",
@@ -311,22 +288,29 @@ def _run_beurling_check(config: RunConfig) -> ExperimentReport:
     )
 
 
-_RUNNERS = {
-    "classify": _run_classify,
-    "radii": _run_radii,
-    "chain": _run_chain,
-    "stability": _run_stability,
-    "semicont": _run_semicont,
-    "beurling-index": _run_beurling_index,
-    "beurling-check": _run_beurling_check,
+# command -> (runner, the RunConfig keys it reads, the defaults that depend on the command);
+# the keys are its options, its checks and its echoed inputs
+COMMANDS = {
+    "classify": (_run_classify, ("weight", "N"), {"N": 4096}),
+    "radii": (_run_radii, ("weight", "N", "window_len"), {"N": 256}),
+    "chain": (_run_chain, ("weight", "N", "lam", "m"), {"N": 200}),
+    "stability": (_run_stability, ("weight", "N", "seed", "p_roots", "eps"),
+                  {"N": 200, "eps": DEFAULT_STABILITY_EPS}),
+    "semicont": (_run_semicont, ("weight", "N", "seed", "rank_tol", "eps", "trials", "zeros"),
+                 {"N": 128, "eps": DEFAULT_SEMICONT_EPS, "zeros": DEFAULT_ROOTS}),
+    "beurling-index": (_run_beurling_index, ("N", "seed", "rank_tol", "zeros", "n_sets"), {"N": 128}),
+    "beurling-check": (_run_beurling_check, ("weight", "seed", "degree", "batch"), {}),
 }
+READS = {command: reads for command, (_, reads, _) in COMMANDS.items()}
+DEFAULT_N = {command: defaults["N"] for command, (_, _, defaults) in COMMANDS.items() if "N" in defaults}
 
 
 def run(config: RunConfig) -> int:
     """Execute one command, write artifacts, return the exit status."""
     try:
         config = config.resolved()
-        report = _RUNNERS[config.command](config)
+        runner, _, _ = COMMANDS[config.command]
+        report = runner(config)
         report.inputs = _echo_config(config)
         paths = report.write(config.output)
     except ConfigError as exc:

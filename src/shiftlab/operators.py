@@ -78,9 +78,8 @@ def shift_window(w: WeightSequence, N: int) -> OperatorWindow:
     """(N+1) x N window of the shift: column n carries alpha_n at row n+1."""
     if N < 1:
         raise ValueError("shift window needs N >= 1")
-    alpha = w.alpha_array(N)
-    nonzero = np.flatnonzero(alpha)
-    return OperatorWindow(Support((N + 1, N), nonzero + 1, nonzero), alpha[nonzero])
+    cols = np.arange(N)  # a checked weight keeps every alpha_n > 0
+    return OperatorWindow(Support((N + 1, N), cols + 1, cols), w.alpha_array(N))
 
 
 def adjoint_window_square(w: WeightSequence, N: int) -> np.ndarray:

@@ -253,7 +253,7 @@ def random_zero_sets(n_sets: int, seed: int, max_size: int = ZERO_SET_MAX_SIZE, 
         draws = 0
         while len(points) < size:
             if draws == ZERO_SET_DRAWS:
-                raise ValueError(f"zero set {i}: {size} points at min_sep {min_separation} not found "
+                raise ValueError(f"zero set {i}: {size} points at min_separation {min_separation} not found "
                                  f"in {ZERO_SET_DRAWS} draws")
             draws += 1
             z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.cli import (
-    _RUNNERS,
     COMMANDS,
     OPTIONS,
     READS,
@@ -125,7 +124,8 @@ class TestParsing:
             dests = {a.dest for a in sub._actions if a.option_strings and a.dest not in ("help", "output")}
             # the report echoes exactly the options, defaults filled in, and not the output prefix
             assert set(_echo_config(RunConfig(command=command).resolved())) == {"command"} | dests
-            source = inspect.getsource(_RUNNERS[command])
+            runner, _, _ = COMMANDS[command]
+            source = inspect.getsource(runner)
             unread += [(command, dest) for dest in sorted(dests) if f"config.{dest}" not in source]
         assert unread == []
 
@@ -340,9 +340,10 @@ class TestCommands:
     @pytest.mark.parametrize("weight", ["bergman", "quasianalytic_sqrt"])
     def test_beurling_check_passes_on_every_survey_seed(self, weight):
         # perfbench's survey workload expects a pass here at whatever seed it runs
-        failed = [(seed, batch) for batch in (20, 200) for seed in range(50)
-                  if _RUNNERS["beurling-check"](RunConfig("beurling-check", weight=weight, seed=seed,
-                                                          batch=batch).resolved()).verdict != "pass"]
+        runner, _, _ = COMMANDS["beurling-check"]
+        configs = [RunConfig("beurling-check", weight=weight, seed=seed, batch=batch).resolved()
+                   for batch in (20, 200) for seed in range(50)]
+        failed = [(c.seed, c.batch) for c in configs if runner(c).verdict != "pass"]
         assert failed == []
 
     def test_bad_weight_exits_one(self, tmp_path, monkeypatch):
@@ -361,7 +362,7 @@ class TestCommands:
         values[7] = text
         (tmp_path / "w.txt").write_text("\n".join(values), encoding="utf-8")
         assert run_cli(["radii", "--weight", "w.txt", "--output", "nfw"], tmp_path, monkeypatch) == 1
-        assert f"line 7 is not finite: '{text}'" in capsys.readouterr().err
+        assert f"error: weight: omega(7) = {text} is not finite" in capsys.readouterr().err
         assert not (tmp_path / "nfw.report.json").exists()
 
     def test_bad_eps_exits_one(self, tmp_path, monkeypatch):

@@ -390,7 +390,7 @@ class TestBeurlingIndexSweep:
     def test_unreachable_separation_raises(self):
         sizes = [int(stream(4, TAG_ZERO_SETS, i).integers(1, 6)) for i in range(10)]
         first = next(i for i, size in enumerate(sizes) if size > 1)
-        with pytest.raises(ValueError, match=rf"zero set {first}: .*min_sep 2\.0"):
+        with pytest.raises(ValueError, match=rf"zero set {first}: .*min_separation 2\.0"):
             random_zero_sets(10, seed=4, min_separation=2.0)  # wider than the 0.8 disc
 
     def test_draw_budget_covers_half_separation(self, monkeypatch):

@@ -1,14 +1,14 @@
 """Every public definition of shiftlab has a user outside the tests.
 
-A module-level function or class is used when its name or an attribute of
-that name appears in the AST of src/shiftlab (outside the definition
-itself), of perfbench/*.py or of tests/test_acceptance.py; imports and
-string mentions do not count. A public member of a public class (a
-dataclass field, property, method or self.<name> set in __init__) is used
-when an attribute read x.<name> appears in those files, its own class
-included. ExperimentReport is exempt: to_json_bytes writes every field
-through vars(self). The member check goes by name, so a member that shares
-its name with a read member elsewhere escapes it.
+A module-level function, class or assigned constant is used when its name
+or an attribute of that name appears in the AST of src/shiftlab (outside
+the definition itself), of perfbench/*.py or of tests/test_acceptance.py;
+imports and string mentions do not count. A public member of a public
+class (a dataclass field, property, method or self.<name> set in
+__init__) is used when an attribute read x.<name> appears in those files,
+its own class included. ExperimentReport is exempt: to_json_bytes writes
+every field through vars(self). The member check goes by name, so a
+member that shares its name with a read member elsewhere escapes it.
 """
 
 import ast
@@ -54,18 +54,31 @@ def parse_all():
     return modules, callers
 
 
-def test_every_public_definition_has_a_caller():
+def unused(names_of):
+    """module.name for each public name that names_of(statement) defines in a module body and nothing uses."""
     modules, callers = parse_all()
     in_src = sum((used_names(tree) for tree in modules.values()), Counter())
     elsewhere = set().union(*(used_names(tree) for tree in callers))
-    unreached = [
-        f"{module}.{node.name}"
+    return [
+        f"{module}.{name}"
         for module, tree in modules.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and in_src[node.name] == used_names(node)[node.name] and node.name not in elsewhere
+        for name in names_of(node)
+        if not name.startswith("_") and in_src[name] == used_names(node)[name] and name not in elsewhere
     ]
-    assert unreached == []
+
+
+def test_every_public_definition_has_a_caller():
+    assert unused(lambda node: [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []) == []
+
+
+def test_every_public_constant_has_a_reader():
+    def assigned(node):
+        if isinstance(node, ast.Assign):
+            return [target.id for target in node.targets if isinstance(target, ast.Name)]
+        return [node.target.id] if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) else []
+
+    assert unused(assigned) == []
 
 
 def test_every_public_member_has_a_reader():

@@ -281,8 +281,19 @@ class TestExplicitData:
     def test_non_finite_line_is_named(self, tmp_path, text):
         path = tmp_path / "w.txt"
         path.write_text(f"1.0\n2.0\n{text}\n4.0\n", encoding="utf-8")
-        with pytest.raises(WeightDataError, match="line 2 is not finite"):
+        with pytest.raises(WeightDataError, match=r"omega\(2\) = .* is not finite"):
             WeightSequence.from_file(path)
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, math.inf, 4.0], [1.0, 0.5, 2.0], [2.0, 3.0], [1.0], []])
+    def test_file_and_table_fail_one_check(self, tmp_path, values):
+        # the table's check is the file's: same error, same message
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+        with pytest.raises(WeightDataError, match="^weight: ") as from_values:
+            WeightSequence.from_values(values)
+        with pytest.raises(WeightDataError, match="^weight: ") as from_file:
+            WeightSequence.from_file(path)
+        assert str(from_file.value) == str(from_values.value)
 
     def test_table_cannot_be_reassigned(self):
         # the checks run at construction only, so a later table would skip them
