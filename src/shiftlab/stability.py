@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -135,7 +136,6 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
     except RankDeficiencyError as exc:
         reference, error = None, str(exc)
     per_step: list[dict] = []
-    distances: list[float] = []
     for j, eps in enumerate(plan.epsilon_schedule):
         S, delta_norm = _dense_step(A0, plan.seed, eps, j)
         entry: dict = {"epsilon": eps, "delta_norm": delta_norm}
@@ -145,9 +145,9 @@ def norm_stability_run(w: WeightSequence, p_roots, plan: PerturbationPlan,
             ker = kernel_of_polynomial(S, roots)
             entry["distance"] = projection_distance(ker.basis, reference)
             entry["kernel_sigma"] = float(np.max(ker.kernel_singular_values))
-            distances.append(entry["distance"])
         per_step.append(entry)
 
+    distances = [entry["distance"] for entry in per_step if entry["distance"] is not None]
     slope = fit_loglog_slope(plan.epsilon_schedule, distances) if distances else None
     if not distances:  # a failed step, or an empty schedule
         verdict = VERDICT_FAIL
@@ -175,14 +175,14 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
                        rank_tol: float = DEFAULT_RANK_TOL) -> ExperimentReport:
     """Check the lower-semicontinuity direction of the relative index.
 
-    The candidate subspace for each perturbed operator is the original one;
-    a (trial, step) pair is asserted only once its invariance defect falls
-    at or below DEFAULT_INVARIANCE_TOL, which the report makes visible. Trials
-    where no step reaches the assertion threshold are counted as skipped.
-    plan.kind must be weight_jitter (see perturb). sigma_min(T) is read
-    from the support (T.singular_value_range): 0 when a column has no
-    support position. M_out must carry its orthogonal complement (see
-    rel_index).
+    The candidate subspace for each perturbed operator is the original one.
+    The trial x step loop only records each step's invariance defect and
+    index; the rows, counts and verdict are computed once from those arrays.
+    A step is asserted when its defect is at most DEFAULT_INVARIANCE_TOL, and
+    a trial with no asserted step is skipped. plan.kind must be weight_jitter
+    (see perturb). sigma_min(T) is read from the support
+    (T.singular_value_range): 0 when a column has no support position. M_out
+    must carry its orthogonal complement (see rel_index).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
@@ -192,46 +192,35 @@ def semicontinuity_run(T: OperatorWindow, M_in: SubspaceBasis, M_out: SubspaceBa
         raise ValueError(f"operator not bounded below on the window: sigma_min={s_min:.3e} < {DEFAULT_MIN_SIGMA}")
     base = rel_index(T, M_in, M_out, tol=rank_tol)
 
-    steps = list(plan.epsilon_schedule)
-    agg = [
-        {"epsilon": eps, "n_asserted": 0, "n_violations": 0, "max_defect": 0.0,
-         "min_index": None, "max_index": None}
-        for eps in steps
-    ]
-    skipped = 0
+    steps = plan.epsilon_schedule
+    defect = np.zeros((n_trials, len(steps)))
+    index = np.zeros((n_trials, len(steps)), dtype=int)
     for t in range(n_trials):
-        asserted_any = False
         for j, eps in enumerate(steps):
             S = perturb(T, plan, eps, stream_tags=(TAG_SEMICONT, t, j))
             try:
                 res = rel_index(S, M_in, M_out, tol=rank_tol, invariance_tol=DEFAULT_INVARIANCE_TOL)
+                defect[t, j], index[t, j] = res.defect, res.index
             except InvarianceError as exc:
-                agg[j]["max_defect"] = max(agg[j]["max_defect"], exc.defect)
-                continue
-            asserted_any = True
-            a = agg[j]
-            a["n_asserted"] += 1
-            a["max_defect"] = max(a["max_defect"], res.defect)
-            a["min_index"] = res.index if a["min_index"] is None else min(a["min_index"], res.index)
-            a["max_index"] = res.index if a["max_index"] is None else max(a["max_index"], res.index)
-            if base.index > res.index:
-                a["n_violations"] += 1
-        if not asserted_any:
-            skipped += 1
+                defect[t, j] = exc.defect
 
-    violations = sum(a["n_violations"] for a in agg)
+    asserted = defect <= DEFAULT_INVARIANCE_TOL  # rel_index raises only above the tolerance
+    held = [column[ok].tolist() for column, ok in zip(index.T, asserted.T)]
+    per_step = [
+        {"epsilon": eps, "n_asserted": len(h), "n_violations": sum(i < base.index for i in h),
+         "max_defect": float(top), "min_index": min(h, default=None), "max_index": max(h, default=None)}
+        for eps, h, top in zip(steps, held, defect.max(axis=0))
+    ]
+    violations = sum(row["n_violations"] for row in per_step)
+    skipped = int((~asserted.any(axis=1)).sum())
     skip_fraction = skipped / n_trials
     verdict = VERDICT_PASS if violations == 0 and skip_fraction <= MAX_SKIP_FRACTION else VERDICT_FAIL
     return ExperimentReport(
         experiment="index_semicontinuity",
-        per_step=agg,
+        per_step=per_step,
         fitted_slope=None,
-        metrics={
-            "base_index": base.index,
-            "violations": violations,
-            "skipped_trials": skipped,
-            "skip_fraction": skip_fraction,
-        },
+        metrics={"base_index": base.index, "violations": violations, "skipped_trials": skipped,
+                 "skip_fraction": skip_fraction},
         verdict=verdict,
     )
 
@@ -272,13 +261,12 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = DEFAULT_RANK_TOL) 
 
     Every index should equal 1 with a large singular-value gap. Sets with
     nearly coincident points (pairwise distance below 1e-3) are flagged as
-    ill conditioned and excluded from the verdict; a sweep with no set left
-    to assert fails, since it checked nothing.
+    ill conditioned. Once every row is recorded, the verdict reads the rows
+    not flagged; a sweep with none left to assert fails, since it checked nothing.
     """
     w = WeightSequence.preset("unweighted")
     T = shift_window(w, N)
     per_step = []
-    ok = True
     for i, zeros in enumerate(zero_sets):
         zs = [complex(z) for z in zeros]
         if len(zs) > ZERO_SET_MAX_SIZE:
@@ -287,11 +275,7 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = DEFAULT_RANK_TOL) 
             raise ValueError(f"zeros: zero set {i} leaves the {ZERO_SET_RADIUS} disc")
         if len(set(zs)) != len(zs):
             raise ValueError(f"zeros: zero set {i} has a repeated point")
-        min_sep = min(
-            (abs(a - b) for idx, a in enumerate(zs) for b in zs[idx + 1:]),
-            default=math.inf,
-        )
-        flagged = min_sep < ZERO_SET_MIN_SEPARATION
+        min_sep = min((abs(a - b) for a, b in combinations(zs, 2)), default=math.inf)
         M_in = vanishing_subspace(zs, N)
         M_out = vanishing_subspace(zs, N + 1)
         res = rel_index(T, M_in, M_out, tol=rank_tol)
@@ -301,11 +285,11 @@ def beurling_index_sweep(zero_sets, N: int, rank_tol: float = DEFAULT_RANK_TOL) 
             "index": res.index,
             "gap": res.gap,
             "defect": res.defect,
-            "ill_conditioned": flagged,
+            "ill_conditioned": min_sep < ZERO_SET_MIN_SEPARATION,
         })
-        if not flagged and not (res.index == 1 and res.gap >= INDEX_GAP_FLOOR):
-            ok = False
-    ok = ok and not all(step["ill_conditioned"] for step in per_step)
+
+    checked = [step for step in per_step if not step["ill_conditioned"]]
+    ok = bool(checked) and all(step["index"] == 1 and step["gap"] >= INDEX_GAP_FLOOR for step in checked)
     return ExperimentReport(
         experiment="beurling_index_sweep",
         per_step=per_step,

@@ -339,7 +339,8 @@ def chain_reference_basis(w: WeightSequence, roots, N: int) -> SubspaceBasis:
     """Orthonormal basis of the span of the adjoint Jordan chains over `roots` (with repeats).
 
     This is ker p(T*), p(z) = prod (z - r_i), cut to its first N coordinates.
-    Each root must satisfy |r| <= 0.9 r_point and repeat at most 3 times.
+    Each root must satisfy |r| <= 0.9 r_point and repeat at most 3 times,
+    and a root of multiplicity m needs N >= m + 2.
     Chain vectors that are numerically dependent (two roots closer than the
     window resolves) raise RankDeficiencyError.
     """
@@ -353,6 +354,8 @@ def chain_reference_basis(w: WeightSequence, roots, N: int) -> SubspaceBasis:
     r, count = counts.most_common(1)[0]
     if count > 3:
         raise ValueError(f"p_roots: multiplicity of root {r} exceeds 3")
+    if N < count + 2:
+        raise ValueError(f"p_roots: root {r} of multiplicity {count} needs N >= {count + 2}, got N={N}")
     vectors = []
     for lam, m in counts.items():
         vectors.extend(jordan_chain(w, lam, m, N).vectors)

@@ -303,6 +303,13 @@ class TestCommands:
         assert f"[shiftlab] error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "pr.report.json").exists()
 
+    def test_window_floor_names_p_roots_and_N(self, tmp_path, monkeypatch, capsys):
+        # the floor is the multiplicity of a root plus 2; m is not a stability option
+        assert run_cli(["stability", "--N", "2", "--output", "tiny"], tmp_path, monkeypatch) == 1
+        assert capsys.readouterr().err == (
+            "[shiftlab] error: p_roots: root (0.3+0j) of multiplicity 1 needs N >= 3, got N=2\n")
+        assert not (tmp_path / "tiny.report.json").exists()
+
     def test_more_roots_than_the_window_fail_every_step(self, tmp_path, monkeypatch, capsys):
         # four chain vectors in C^3: a dependent reference, like the near-double root
         argv = ["stability", "--N", "3", "--p-roots", "0.1,0.2,0.3,0.4", "--output", "wide"]

@@ -209,6 +209,38 @@ class TestSemicontinuity:
         asserted = [s["n_asserted"] for s in rep.per_step]
         assert asserted[0] == 0 and asserted[-1] == 40
 
+    def test_rows_reduce_every_kind_of_outcome(self, monkeypatch):
+        # (defect, index) per rel_index call: the base, then trial by trial, step by step
+        script = iter([
+            (0.0, 1),
+            (5e-4, 0), (2e-3, 1),  # trial 0: a violation, then an unasserted step
+            (stability.DEFAULT_INVARIANCE_TOL, 2), (1e-4, 1),  # trial 1: a defect at the tolerance is asserted
+            (0.5, 1), (3e-3, 1),  # trial 2: no asserted step, so skipped
+        ])
+
+        def scripted(S, M_in, M_out, tol, invariance_tol=subspaces.EXACT_INVARIANCE_TOL):
+            defect, index = next(script)
+            if defect > invariance_tol:
+                raise subspaces.InvarianceError(defect, invariance_tol)
+            return subspaces.IndexResult(index, defect, np.inf)
+
+        monkeypatch.setattr(stability, "rel_index", scripted)
+        N = 16
+        T = shift_window(UNW, N)
+        M_in, M_out = vanishing_subspace([0.3, -0.4], N), vanishing_subspace([0.3, -0.4], N + 1)
+        plan = PerturbationPlan(kind="weight_jitter", epsilon_schedule=(1e-2, 1e-3), seed=0)
+        rep = semicontinuity_run(T, M_in, M_out, plan, 3)
+        assert next(script, None) is None
+        assert rep.per_step == [
+            {"epsilon": 1e-2, "n_asserted": 2, "n_violations": 1, "max_defect": 0.5, "min_index": 0, "max_index": 2},
+            {"epsilon": 1e-3, "n_asserted": 1, "n_violations": 0, "max_defect": 3e-3, "min_index": 1, "max_index": 1},
+        ]
+        for row in rep.per_step:
+            assert list(row) == ["epsilon", "n_asserted", "n_violations", "max_defect", "min_index", "max_index"]
+            assert [type(v) for v in row.values()] == [float, int, int, float, int, int]
+        assert rep.metrics == {"base_index": 1, "violations": 1, "skipped_trials": 1, "skip_fraction": 1 / 3}
+        assert rep.verdict == "fail"
+
     def test_direct_sum_keeps_index_two(self):
         N = 32
         T = direct_sum(shift_window(UNW, N), shift_window(UNW, N))

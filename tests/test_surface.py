@@ -9,6 +9,11 @@ __init__) is used when an attribute read x.<name> appears in those files,
 its own class included. ExperimentReport is exempt: to_json_bytes writes
 every field through vars(self). The member check goes by name, so a
 member that shares its name with a read member elsewhere escapes it.
+
+The project runs no linter, so test_every_import_is_read catches the
+import that a refactor orphans, in src/shiftlab and in tests/: a name bound
+by a module-level import must be read in its module (from __future__ is
+exempt).
 """
 
 import ast
@@ -92,4 +97,20 @@ def test_every_public_member_has_a_reader():
         for name in members(node)
         if not name.startswith("_") and name not in reads
     ]
+    assert unread == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [
+            f"{path.stem}.{name}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name not in loads
+        ]
     assert unread == []
